@@ -30,9 +30,11 @@ def show(tag, report):
     print(f"  resonance     {report.f_res / GHZ:.3f} GHz")
     print(f"  depth         {report.rl_min_db:.2f} dB return loss")
     print(f"  VSWR there    {report.vswr_at_res:.3f}")
-    if report.bandwidth_hz > 0:
+    if report.q_loaded is not None:
         print(f"  -10 dB band   {report.bandwidth_hz / 1e6:.0f} MHz "
               f"(loaded Q {report.q_loaded:.1f})")
+    elif report.bandwidth_hz > 0:
+        print(f"  -10 dB band   {report.bandwidth_hz / 1e6:.0f} MHz or more")
     for note in report.notes:
         print(f"  note: {note}")
 

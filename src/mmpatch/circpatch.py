@@ -11,8 +11,10 @@ Loss bookkeeping: the radiation resistance comes from the small-radius
 series expansion of the radiated power. Surface-wave, conductor, and
 dielectric resistances are series terms proportional to their loss powers,
 R_x = R_r * P_x / P_r, so the efficiency R_r / R_total equals the radiated
-fraction of the input power exactly. The alternative closed-form (voltage
-route) conductor/dielectric resistances are kept as cross-checks in
+fraction of the input power exactly. The stored energy is Lommel's exact
+integral of the mode profile, and one budget pass yields all powers, the
+resistances and the Q. The alternative closed-form (voltage route)
+conductor/dielectric resistances are kept as cross-checks in
 :func:`r_conductor_circ_printed` / :func:`r_dielectric_circ_printed`.
 """
 
@@ -33,6 +35,10 @@ from .specfun import Bracket, bessel_j, find_root_bracketed
 J1P_FIRST_ROOT = 1.8411837813406593
 
 _J1_AT_ROOT = bessel_j(1, J1P_FIRST_ROOT)  # peak value of J1, ~0.581865
+
+# J1(c)^2 (c^2 - 1) at c = J1P_FIRST_ROOT; every closed form of the stored
+# energy and of the voltage-route resistances carries it.
+_EDGE_BRACKET = _J1_AT_ROOT**2 * (J1P_FIRST_ROOT**2 - 1.0)
 
 
 @dataclass(frozen=True)
@@ -189,37 +195,23 @@ def r_radiation_circ(design: CircPatchDesign, f: float) -> float:
     return lam0 * lam0 * ETA0 / (math.pi**3 * design.a_eff**2 * series)
 
 
-def r_surface_circ(design: CircPatchDesign, f: float, t1_form: str = "printed") -> float:
-    """Surface-wave resistance R_s = T1 * R_r (shared T1 with the
-    rectangular model)."""
-    _, t1 = surface_wave_factor(design.substrate, f, t1_form)
-    return t1 * r_radiation_circ(design, f)
-
-
-def stored_energy(design: CircPatchDesign, E0: float = 1.0, n_points: int = 2001) -> float:
+def stored_energy(design: CircPatchDesign, E0: float = 1.0) -> float:
     """Total energy stored in the cavity at resonance (J).
 
-    Radial quadrature of the mode profile:
-    W_T = (eps0 eps_r h pi E0^2 / 2) * integral_0^a_eff J1(k11 rho)^2 rho drho.
-    This integral form is authoritative; the closed form evaluated at the
-    disk edge (:func:`stored_energy_closed_form`) matches it at resonance.
+    W_T = (eps0 eps_r h pi E0^2 / 2) * integral_0^a_eff J1(k11 rho)^2 rho drho,
+    and by Lommel's integral with J1'(c) = 0 at c = k11 a_eff the radial
+    integral is exactly (a_eff^2 / 2) J1(c)^2 (1 - 1/c^2).
     """
-    if n_points < 2:
-        raise DomainError("quadrature needs at least 2 points")
     sub = design.substrate
-    k11 = J1P_FIRST_ROOT / design.a_eff
-    rho = np.linspace(0.0, design.a_eff, n_points)
-    j1 = np.array([bessel_j(1, float(k11 * r)) for r in rho])
-    integral = float(np.trapezoid(j1 * j1 * rho, rho))
+    integral = 0.5 * design.a_eff**2 * _EDGE_BRACKET / J1P_FIRST_ROOT**2
     return 0.5 * EPS0 * sub.eps_r * sub.h * math.pi * E0 * E0 * integral
 
 
 def stored_energy_closed_form(design: CircPatchDesign, f: float, E0: float = 1.0) -> float:
-    """Edge-evaluated closed form of the stored energy; cross-check only."""
+    """The stored energy written with the frequency instead of the radius;
+    equals :func:`stored_energy` at the design resonance. Cross-check only."""
     omega = 2.0 * math.pi * f
-    c = J1P_FIRST_ROOT
-    bracket = _J1_AT_ROOT**2 * (c * c - 1.0)
-    return E0 * E0 * design.substrate.h / (8.0 * omega * f * MU0) * bracket
+    return E0 * E0 * design.substrate.h / (8.0 * omega * f * MU0) * _EDGE_BRACKET
 
 
 def p_dielectric(design: CircPatchDesign, f: float, E0: float = 1.0) -> float:
@@ -234,18 +226,6 @@ def p_conductor(design: CircPatchDesign, f: float, E0: float = 1.0) -> float:
     return 2.0 * math.pi * f * stored_energy(design, E0) / skin
 
 
-def r_dielectric_circ(design: CircPatchDesign, f: float) -> float:
-    """Series dielectric resistance R_d = R_r * P_d / P_r (zero when lossless)."""
-    pr = p_radiated(design, f)
-    return r_radiation_circ(design, f) * p_dielectric(design, f) / pr
-
-
-def r_conductor_circ(design: CircPatchDesign, f: float) -> float:
-    """Series conductor resistance R_c = R_r * P_c / P_r."""
-    pr = p_radiated(design, f)
-    return r_radiation_circ(design, f) * p_conductor(design, f) / pr
-
-
 def r_dielectric_circ_printed(design: CircPatchDesign, f: float) -> float:
     """Voltage-route closed form 4 mu0 f h / (tan_delta * J1^2(c) (c^2 - 1)).
 
@@ -255,37 +235,67 @@ def r_dielectric_circ_printed(design: CircPatchDesign, f: float) -> float:
     sub = design.substrate
     if sub.tan_delta == 0.0:
         return math.inf
-    c = J1P_FIRST_ROOT
-    bracket = _J1_AT_ROOT**2 * (c * c - 1.0)
-    return 4.0 * MU0 * f * sub.h / (sub.tan_delta * bracket)
+    return 4.0 * MU0 * f * sub.h / (sub.tan_delta * _EDGE_BRACKET)
 
 
 def r_conductor_circ_printed(design: CircPatchDesign, f: float) -> float:
     """Voltage-route closed form 4 mu0 f h^2 sqrt(pi f mu0 sigma) / (J1^2(c) (c^2 - 1))."""
     sub = design.substrate
-    c = J1P_FIRST_ROOT
-    bracket = _J1_AT_ROOT**2 * (c * c - 1.0)
-    return 4.0 * MU0 * f * sub.h**2 * math.sqrt(math.pi * f * MU0 * sub.sigma) / bracket
+    return 4.0 * MU0 * f * sub.h**2 * math.sqrt(math.pi * f * MU0 * sub.sigma) / _EDGE_BRACKET
+
+
+@dataclass(frozen=True)
+class _Budget:
+    """Powers and stored energy at unit edge field, with the series
+    resistances R_x = R_r * P_x / P_r they imply."""
+
+    P_r: float
+    P_s: float
+    P_c: float
+    P_d: float
+    W_T: float
+    breakdown: ResistanceBreakdown
+
+
+def _budget(design: CircPatchDesign, f: float, t1_form: str) -> _Budget:
+    r_r = r_radiation_circ(design, f)
+    _, t1 = surface_wave_factor(design.substrate, f, t1_form)
+    p_r, p_c, p_d = p_radiated(design, f), p_conductor(design, f), p_dielectric(design, f)
+    r_s, r_c, r_d = t1 * r_r, r_r * p_c / p_r, r_r * p_d / p_r
+    return _Budget(
+        P_r=p_r, P_s=t1 * p_r, P_c=p_c, P_d=p_d, W_T=stored_energy(design),
+        breakdown=ResistanceBreakdown(
+            R_r=r_r, R_s=r_s, R_c=r_c, R_d=r_d, R_total=r_r + r_s + r_c + r_d),
+    )
 
 
 def r_total_circ(
     design: CircPatchDesign, f: float, t1_form: str = "printed"
 ) -> ResistanceBreakdown:
     """Series resistance breakdown at the edge-equivalent reference."""
-    r_r = r_radiation_circ(design, f)
-    _, t1 = surface_wave_factor(design.substrate, f, t1_form)
-    r_s = t1 * r_r
-    r_c = r_conductor_circ(design, f)
-    r_d = r_dielectric_circ(design, f)
-    return ResistanceBreakdown(
-        R_r=r_r, R_s=r_s, R_c=r_c, R_d=r_d, R_total=r_r + r_s + r_c + r_d
-    )
+    return _budget(design, f, t1_form).breakdown
+
+
+def q_total_circ(design: CircPatchDesign, f: float, t1_form: str = "printed") -> float:
+    """Quality factor of the energy budget, omega W_T over the summed
+    radiated, surface-wave, conductor, and dielectric powers; written as
+    omega W_T R_r / (P_r R_total), which is the same ratio."""
+    b = _budget(design, f, t1_form)
+    return 2.0 * math.pi * f * b.W_T * b.breakdown.R_r / (b.P_r * b.breakdown.R_total)
 
 
 def _feed_taper_circ(design: CircPatchDesign, rho0: float) -> float:
     k11 = J1P_FIRST_ROOT / design.a_eff
     j = bessel_j(1, k11 * rho0)
     return (j / _J1_AT_ROOT) ** 2
+
+
+def _basis_resistance(design: CircPatchDesign, f: float, basis: str, t1_form: str) -> float:
+    if basis == "total":
+        return r_total_circ(design, f, t1_form).R_total
+    if basis == "radiation":
+        return r_radiation_circ(design, f)
+    raise DomainError(f"unknown basis {basis!r}; use 'total' or 'radiation'")
 
 
 def input_resistance_circ(
@@ -311,13 +321,7 @@ def input_resistance_circ(
         if not 0.0 <= rho0 <= design.a:
             raise DomainError(f"feed radius must lie in [0, a], got {rho0}")
         taper = _feed_taper_circ(design, rho0)
-    if basis == "total":
-        base = r_total_circ(design, f, t1_form).R_total
-    elif basis == "radiation":
-        base = r_radiation_circ(design, f)
-    else:
-        raise DomainError(f"unknown basis {basis!r}; use 'total' or 'radiation'")
-    return base * taper
+    return _basis_resistance(design, f, basis, t1_form) * taper
 
 
 def feed_radius_for_match(
@@ -334,17 +338,14 @@ def feed_radius_for_match(
     """
     if not target_R > 0.0:
         raise DomainError(f"target resistance must be > 0, got {target_R}")
-    edge = input_resistance_circ(design, f, rho0=design.a, basis=basis, t1_form=t1_form)
+    base = _basis_resistance(design, f, basis, t1_form)
+    edge = base * _feed_taper_circ(design, design.a)
     if target_R > edge:
         raise DomainError(
             f"target {target_R:.4g} ohm exceeds the {edge:.4g} ohm available at "
             f"the disk edge; no feed radius can match it"
         )
     k11 = J1P_FIRST_ROOT / design.a_eff
-    if basis == "total":
-        base = r_total_circ(design, f, t1_form).R_total
-    else:
-        base = r_radiation_circ(design, f)
     j_target = math.sqrt(target_R / base) * _J1_AT_ROOT
     # J1(k11 rho) rises monotonically on [0, a] (its first peak is at the
     # effective edge), so the bracket is guaranteed.
@@ -466,19 +467,15 @@ def loss_report(
     design: CircPatchDesign, f: float, E0: float = 1.0, t1_form: str = "printed"
 ) -> CircLossReport:
     """Powers, stored energy, resistance breakdown, efficiency, directivity,
-    and gain in one record."""
-    p_r = p_radiated(design, f, E0)
-    _, t1 = surface_wave_factor(design.substrate, f, t1_form)
-    p_s = t1 * p_r
-    p_c = p_conductor(design, f, E0)
-    p_d = p_dielectric(design, f, E0)
-    w_t = stored_energy(design, E0)
-    breakdown = r_total_circ(design, f, t1_form)
-    e_r = breakdown.R_r / breakdown.R_total
+    and gain in one record; powers and energy scale with E0^2, nothing else
+    depends on it."""
+    b = _budget(design, f, t1_form)
+    e0sq = E0 * E0
+    e_r = b.breakdown.R_r / b.breakdown.R_total
     d = directivity(design, f)
     return CircLossReport(
-        P_r=p_r, P_s=p_s, P_c=p_c, P_d=p_d, W_T=w_t,
-        breakdown=breakdown, e_r=e_r, D=d, G=e_r * d,
+        P_r=e0sq * b.P_r, P_s=e0sq * b.P_s, P_c=e0sq * b.P_c, P_d=e0sq * b.P_d,
+        W_T=e0sq * b.W_T, breakdown=b.breakdown, e_r=e_r, D=d, G=e_r * d,
     )
 
 

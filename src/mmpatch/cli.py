@@ -50,6 +50,7 @@ class JobConfig:
     rect_feed: float | None
     circ_a: float | None
     circ_rho0: float | None
+    zref: float               # reference impedance for every VSWR/reflection
     sweep: response.SweepSpec | None
     pattern_step_deg: float
     output_format: str
@@ -75,6 +76,8 @@ def load_config(path: str) -> dict[str, str]:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _KNOWN_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             values[key] = value
     return values
 
@@ -168,6 +171,8 @@ def build_job(args: argparse.Namespace) -> JobConfig:
 
     target_r = _as_float(values, "target_r_ohm")
     zref = args.zref if args.zref is not None else _as_float(values, "sweep.zref")
+    if zref is None:
+        zref = 50.0
 
     sweep_spec = None
     f_start = _as_float(values, "sweep.f_start_ghz")
@@ -181,7 +186,7 @@ def build_job(args: argparse.Namespace) -> JobConfig:
             f_start=f_start * 1e9,
             f_stop=f_stop * 1e9,
             points=points,
-            reference_impedance=zref if zref is not None else 50.0,
+            reference_impedance=zref,
         )
 
     mm = lambda key: (None if _as_float(values, key) is None else _as_float(values, key) * 1e-3)
@@ -204,6 +209,7 @@ def build_job(args: argparse.Namespace) -> JobConfig:
         rect_feed=mm("patch.feed_mm"),
         circ_a=mm("patch.a_mm"),
         circ_rho0=mm("patch.rho0_mm"),
+        zref=zref,
         sweep=sweep_spec,
         pattern_step_deg=step_deg if step_deg is not None else 1.0,
         output_format=output_format,
@@ -213,11 +219,10 @@ def build_job(args: argparse.Namespace) -> JobConfig:
 
 def _settings_dict(job: JobConfig) -> dict:
     regime = thickness_regime(job.substrate, job.f_design)
-    return {
+    settings = {
         "geometry": job.geometry,
         "model_variant": job.variant,
         "t1_form": job.t1_form,
-        "feed_placement_basis": "radiation",
         "f_design_ghz": job.f_design / 1e9,
         "substrate": {
             "eps_r": job.substrate.eps_r,
@@ -225,7 +230,7 @@ def _settings_dict(job: JobConfig) -> dict:
             "tan_delta": job.substrate.tan_delta,
             "sigma_s_per_m": job.substrate.sigma,
         },
-        "reference_impedance_ohm": job.sweep.reference_impedance if job.sweep else 50.0,
+        "reference_impedance_ohm": job.zref,
         "thickness_regime": {
             "ratio_h_over_lambda0": regime.ratio,
             "threshold": regime.threshold,
@@ -233,6 +238,9 @@ def _settings_dict(job: JobConfig) -> dict:
         },
         "units": "config lengths mm, frequencies GHz; reported lengths mm unless suffixed",
     }
+    if job.geometry == "circ":
+        settings["feed_placement_basis"] = "radiation"
+    return settings
 
 
 def _rect_design(job: JobConfig) -> rectpatch.RectPatchDesign:
@@ -289,7 +297,7 @@ def cmd_design(job: JobConfig) -> dict:
                                              fringing=job.variant != "no-fringing")
         r_in = circpatch.input_resistance_circ(design, f_res, basis="total",
                                                t1_form=job.t1_form)
-        gamma = abs(response.reflection(complex(r_in), 50.0))
+        gamma = abs(response.reflection(complex(r_in), job.zref))
         report["design"] = {
             "a_mm": design.a * 1e3,
             "a_eff_mm": design.a_eff * 1e3,

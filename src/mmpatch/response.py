@@ -13,7 +13,6 @@ import numpy as np
 
 from . import circpatch, rectpatch
 from .errors import DomainError
-from .media import C0
 
 RL_CLAMP_DB = -100.0          # keeps CSV/JSON finite on a perfect match
 BANDWIDTH_CRITERION_DB = -10.0
@@ -148,25 +147,14 @@ def rect_resonator(design: rectpatch.RectPatchDesign, variant: str) -> Resonator
     return ResonatorModel(f_res=f0, r_res=r_res, q_total=q)
 
 
-def circ_q_total(design: circpatch.CircPatchDesign, f: float,
-                 t1_form: str = "printed") -> float:
-    """Quality factor from the energy budget: omega W_T over the summed
-    radiated, surface-wave, conductor, and dielectric powers."""
-    p_r = circpatch.p_radiated(design, f)
-    _, t1 = rectpatch.surface_wave_factor(design.substrate, f, t1_form)
-    p_sum = p_r * (1.0 + t1) + circpatch.p_conductor(design, f) + circpatch.p_dielectric(design, f)
-    return 2.0 * math.pi * f * circpatch.stored_energy(design) / p_sum
-
-
 def circ_resonator(design: circpatch.CircPatchDesign,
                    t1_form: str = "printed") -> ResonatorModel:
     """RLC stand-in for a circular design: resonance from the effective
     radius, resistance at the design's feed radius (total basis), Q from the
     energy budget."""
-    f_res = circpatch.J1P_FIRST_ROOT * C0 / (
-        2.0 * math.pi * design.a_eff * math.sqrt(design.substrate.eps_r))
+    f_res = circpatch.resonant_frequency(design.a_eff, design.substrate, fringing=False)
     r_res = circpatch.input_resistance_circ(design, f_res, basis="total", t1_form=t1_form)
-    q = circ_q_total(design, f_res, t1_form)
+    q = circpatch.q_total_circ(design, f_res, t1_form)
     return ResonatorModel(f_res=f_res, r_res=r_res, q_total=q)
 
 
@@ -205,13 +193,15 @@ def extract_resonance(resp: FrequencyResponse) -> ResonanceReport:
     The reported minimum depth and VSWR are sample values; the resonance
     frequency is refined with a three-point parabola. Band edges between
     samples are linearly interpolated. Notes flag minima at the sweep
-    boundary and bands truncated by it.
+    boundary and bands truncated by it; a truncated band gives no loaded Q,
+    since its width is the sweep window's, not the resonance's.
     """
     f = resp.f_hz
     rl = resp.rl_db
     n = len(f)
     i_min = int(np.argmin(rl))
     notes: list[str] = []
+    q_loaded = None
     if i_min in (0, n - 1):
         notes.append("rl-min-at-sweep-edge")
         f_res = float(f[i_min])
@@ -244,12 +234,14 @@ def extract_resonance(resp: FrequencyResponse) -> ResonanceReport:
             frac = (thr - rl[hi + 1]) / (rl[hi] - rl[hi + 1])
             f_hi = float(f[hi + 1] + frac * (f[hi] - f[hi + 1]))
         bandwidth = f_hi - f_lo
+        if 0 < lo and hi < n - 1 and bandwidth > 0.0:
+            q_loaded = f_res / bandwidth
 
     return ResonanceReport(
         f_res=f_res,
         rl_min_db=float(rl[i_min]),
         vswr_at_res=float(resp.vswr[i_min]),
         bandwidth_hz=bandwidth,
-        q_loaded=(f_res / bandwidth) if bandwidth > 0.0 else None,
+        q_loaded=q_loaded,
         notes=tuple(notes),
     )

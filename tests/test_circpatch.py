@@ -21,12 +21,10 @@ from mmpatch.circpatch import (
     p_dielectric,
     p_radiated,
     pattern_cut,
-    r_conductor_circ,
+    q_total_circ,
     r_conductor_circ_printed,
-    r_dielectric_circ,
     r_dielectric_circ_printed,
     r_radiation_circ,
-    r_surface_circ,
     r_total_circ,
     radiated_power_from_pattern,
     resonant_frequency,
@@ -198,7 +196,7 @@ class TestResistances:
         assert all(b < c for b, c in zip(values[1:], values[:-1]))
 
     def test_surface_wave_reference(self, design, sub):
-        r_s = r_surface_circ(design, F0)
+        r_s = r_total_circ(design, F0).R_s
         _, t1 = surface_wave_factor(sub, F0)
         assert t1 == pytest.approx(GOLD["T1"], rel=1e-9)
         assert r_s == pytest.approx(t1 * r_radiation_circ(design, F0), rel=1e-15)
@@ -206,22 +204,24 @@ class TestResistances:
     def test_no_surface_wave_in_air(self):
         air = SubstrateSpec(eps_r=1.0, h=0.8e-3)
         d = circ_design_from_radius(1.21e-3, air, F0)
-        assert r_surface_circ(d, F0) == 0.0
+        assert r_total_circ(d, F0).R_s == 0.0
 
     def test_t1_shared_between_geometries(self, design, sub):
-        ratio = r_surface_circ(design, F0) / r_radiation_circ(design, F0)
+        b = r_total_circ(design, F0)
+        ratio = b.R_s / b.R_r
         _, t1 = surface_wave_factor(sub, F0)
         assert ratio == pytest.approx(t1, rel=1e-15)
 
     def test_conductor_and_dielectric_references(self, design):
-        assert r_conductor_circ(design, F0) == pytest.approx(GOLD["R_c"], rel=1e-5)
-        assert r_dielectric_circ(design, F0) == pytest.approx(GOLD["R_d"], rel=1e-5)
+        b = r_total_circ(design, F0)
+        assert b.R_c == pytest.approx(GOLD["R_c"], rel=1e-5)
+        assert b.R_d == pytest.approx(GOLD["R_d"], rel=1e-5)
 
     def test_dielectric_tracks_loss_tangent(self, design, sub):
         # series convention: the dielectric term scales with its loss power
         doubled = circ_design_from_radius(design.a, replace(sub, tan_delta=2e-3), F0)
-        assert r_dielectric_circ(doubled, F0) == pytest.approx(
-            2.0 * r_dielectric_circ(design, F0), rel=1e-9)
+        assert r_total_circ(doubled, F0).R_d == pytest.approx(
+            2.0 * r_total_circ(design, F0).R_d, rel=1e-9)
 
     def test_printed_closed_forms_as_cross_checks(self, design, sub):
         r_d_p = r_dielectric_circ_printed(design, F0)
@@ -240,7 +240,7 @@ class TestResistances:
     def test_printed_dielectric_lossless_sentinel(self, design, sub):
         lossless = circ_design_from_radius(design.a, replace(sub, tan_delta=0.0), F0)
         assert r_dielectric_circ_printed(lossless, F0) == math.inf
-        assert r_dielectric_circ(lossless, F0) == 0.0
+        assert r_total_circ(lossless, F0).R_d == 0.0
 
     def test_total_breakdown(self, design):
         b = r_total_circ(design, F0)
@@ -262,15 +262,26 @@ class TestStoredEnergy:
         assert stored_energy(thick) == pytest.approx(2.0 * stored_energy(design), rel=1e-12)
 
     def test_reference_value(self, design):
-        assert stored_energy(design) == pytest.approx(GOLD["W_T"], rel=1e-5)
+        assert stored_energy(design) == pytest.approx(GOLD["W_T"], rel=1e-9)
 
-    def test_quadrature_vs_closed_form_at_resonance(self, design):
-        # the closed form evaluated at the design resonance matches the
-        # radial quadrature (well inside the 5 % documentation bound)
+    def test_radius_and_frequency_closed_forms_agree_at_resonance(self, design):
+        # the same Lommel closed form, once through a_eff and once through
+        # the resonance frequency it implies
         f_res = resonant_frequency(design.a, design.substrate)
         closed = stored_energy_closed_form(design, f_res)
-        assert stored_energy(design) == pytest.approx(closed, rel=1e-4)
-        assert stored_energy(design) == pytest.approx(closed, rel=0.05)
+        assert stored_energy(design) == pytest.approx(closed, rel=1e-12)
+
+
+class TestQuality:
+    def test_energy_over_summed_powers(self, design):
+        rep = loss_report(design, F0)
+        p_sum = rep.P_r + rep.P_s + rep.P_c + rep.P_d
+        assert q_total_circ(design, F0) == pytest.approx(
+            2.0 * math.pi * F0 * rep.W_T / p_sum, rel=1e-12)
+
+    def test_reference_value(self, design):
+        f_res = resonant_frequency(design.a, design.substrate)
+        assert q_total_circ(design, f_res) == pytest.approx(1.5943067126511548, rel=1e-4)
 
 
 class TestLossPowers:

@@ -72,6 +72,38 @@ class TestDesign:
         assert report["design"]["rho0_mm"] == pytest.approx(0.3285, abs=2e-4)
         assert report["design"]["vswr_at_res"] == pytest.approx(1.366, abs=2e-3)
 
+    def test_zref_sets_design_vswr_and_echo(self, tmp_path, circ_config):
+        reports = {}
+        for zref in (None, "75"):
+            out = tmp_path / f"circ_{zref}.json"
+            argv = ["design", "--config", circ_config, "--out", str(out)]
+            assert main(argv + (["--zref", zref] if zref else [])) == 0
+            reports[zref] = json.loads(out.read_text())
+        base, z75 = reports[None], reports["75"]
+        assert base["settings"]["reference_impedance_ohm"] == 50.0
+        assert z75["settings"]["reference_impedance_ohm"] == 75.0
+        r_in = z75["design"]["r_in_ohm"]
+        assert r_in == base["design"]["r_in_ohm"]
+        assert z75["design"]["vswr_at_res"] == pytest.approx(75.0 / r_in, rel=1e-12)
+        assert base["design"]["vswr_at_res"] == pytest.approx(r_in / 50.0, rel=1e-12)
+
+    def test_config_zref_echoed_outside_sweep(self, tmp_path):
+        cfg = tmp_path / "z.cfg"
+        cfg.write_text(CIRC_CONFIG + "sweep.zref = 100\n")
+        out = tmp_path / "design.json"
+        assert main(["design", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["settings"]["reference_impedance_ohm"] == 100.0
+
+    def test_feed_placement_basis_echoed_for_circ_only(self, tmp_path, rect_config,
+                                                       circ_config):
+        settings = {}
+        for tag, cfg in (("rect", rect_config), ("circ", circ_config)):
+            out = tmp_path / f"{tag}.json"
+            assert main(["design", "--config", cfg, "--out", str(out)]) == 0
+            settings[tag] = json.loads(out.read_text())["settings"]
+        assert "feed_placement_basis" not in settings["rect"]
+        assert settings["circ"]["feed_placement_basis"] == "radiation"
+
     def test_invalid_permittivity_exits_2(self, tmp_path, capsys):
         code = main(["design", "--geometry", "rect", "--f-ghz", "39",
                      "--eps-r", "0.5", "--h-mm", "0.8"])
@@ -85,6 +117,13 @@ class TestDesign:
         bad = tmp_path / "bad.cfg"
         bad.write_text("geometry = rect\nmystery.key = 1\n")
         assert main(["design", "--config", str(bad)]) == 1
+
+    def test_duplicate_config_key_exits_1(self, tmp_path, capsys):
+        dup = tmp_path / "dup.cfg"
+        dup.write_text(RECT_CONFIG + "substrate.eps_r = 2.2\n")
+        assert main(["design", "--config", str(dup)]) == 1
+        err = capsys.readouterr().err
+        assert f"{dup}:10: duplicate key 'substrate.eps_r'" in err
 
     def test_missing_config_file_exits_1(self):
         assert main(["design", "--config", "/nonexistent/job.cfg"]) == 1

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mmpatch.circpatch import synth_circ
+from mmpatch.circpatch import q_total_circ, synth_circ
 from mmpatch.errors import DomainError
 from mmpatch.media import SubstrateSpec
 from mmpatch.rectpatch import RectPatchDesign
@@ -14,7 +14,6 @@ from mmpatch.response import (
     FrequencyResponse,
     ResonatorModel,
     SweepSpec,
-    circ_q_total,
     circ_resonator,
     extract_resonance,
     input_impedance_vs_freq,
@@ -180,6 +179,7 @@ class TestExtractResonance:
         assert "band-truncated-at-sweep-start" in report.notes
         assert "band-truncated-at-sweep-stop" in report.notes
         assert report.bandwidth_hz == pytest.approx(2e9, rel=1e-9)
+        assert report.q_loaded is None
 
     def test_minimum_at_edge_flagged(self):
         m = ResonatorModel(f_res=36e9, r_res=65.0, q_total=40.0)
@@ -205,4 +205,4 @@ class TestResonatorBuilders:
         assert m.f_res == pytest.approx(F0, rel=1e-6)
         assert m.r_res == pytest.approx(68.301, abs=0.01)
         assert m.q_total == pytest.approx(1.5943067126511548, rel=1e-4)
-        assert m.q_total == pytest.approx(circ_q_total(design, m.f_res), rel=1e-12)
+        assert m.q_total == pytest.approx(q_total_circ(design, m.f_res), rel=1e-12)
