@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DomainError, ModelRangeError, SynthesisError
 from .media import EPS0, ETA0, MU0, C0, SubstrateSpec, free_space_wavelength, wavenumber
 from .rectpatch import ResistanceBreakdown, surface_wave_factor
-from .specfun import Bracket, bessel_j, find_root_bracketed
+from .specfun import Bracket, bessel_j, bessel_j_array, find_root_bracketed
 
 # First positive root of J1'; reproduced by specfun.jprime_first_root(1).
 J1P_FIRST_ROOT = 1.8411837813406593
@@ -214,16 +214,24 @@ def stored_energy_closed_form(design: CircPatchDesign, f: float, E0: float = 1.0
     return E0 * E0 * design.substrate.h / (8.0 * omega * f * MU0) * _EDGE_BRACKET
 
 
+def _dielectric_power(design: CircPatchDesign, f: float, w_t: float) -> float:
+    return 2.0 * math.pi * f * design.substrate.tan_delta * w_t
+
+
+def _conductor_power(design: CircPatchDesign, f: float, w_t: float) -> float:
+    sub = design.substrate
+    skin = sub.h * math.sqrt(math.pi * f * MU0 * sub.sigma)
+    return 2.0 * math.pi * f * w_t / skin
+
+
 def p_dielectric(design: CircPatchDesign, f: float, E0: float = 1.0) -> float:
     """Dielectric loss power P_d = omega * tan_delta * W_T."""
-    return 2.0 * math.pi * f * design.substrate.tan_delta * stored_energy(design, E0)
+    return _dielectric_power(design, f, stored_energy(design, E0))
 
 
 def p_conductor(design: CircPatchDesign, f: float, E0: float = 1.0) -> float:
     """Conductor loss power P_c = omega * W_T / (h * sqrt(pi f mu0 sigma))."""
-    sub = design.substrate
-    skin = sub.h * math.sqrt(math.pi * f * MU0 * sub.sigma)
-    return 2.0 * math.pi * f * stored_energy(design, E0) / skin
+    return _conductor_power(design, f, stored_energy(design, E0))
 
 
 def r_dielectric_circ_printed(design: CircPatchDesign, f: float) -> float:
@@ -247,7 +255,7 @@ def r_conductor_circ_printed(design: CircPatchDesign, f: float) -> float:
 @dataclass(frozen=True)
 class _Budget:
     """Powers and stored energy at unit edge field, with the series
-    resistances R_x = R_r * P_x / P_r they imply."""
+    resistances R_x = R_r * P_x / P_r they imply and the Q."""
 
     P_r: float
     P_s: float
@@ -255,17 +263,23 @@ class _Budget:
     P_d: float
     W_T: float
     breakdown: ResistanceBreakdown
+    Q: float
 
 
 def _budget(design: CircPatchDesign, f: float, t1_form: str) -> _Budget:
     r_r = r_radiation_circ(design, f)
     _, t1 = surface_wave_factor(design.substrate, f, t1_form)
-    p_r, p_c, p_d = p_radiated(design, f), p_conductor(design, f), p_dielectric(design, f)
+    w_t = stored_energy(design)
+    p_r = p_radiated(design, f)
+    p_c, p_d = _conductor_power(design, f, w_t), _dielectric_power(design, f, w_t)
     r_s, r_c, r_d = t1 * r_r, r_r * p_c / p_r, r_r * p_d / p_r
+    r_total = r_r + r_s + r_c + r_d
+    # omega W_T over the summed powers, written as omega W_T R_r / (P_r R_total)
+    q = 2.0 * math.pi * f * w_t * r_r / (p_r * r_total)
     return _Budget(
-        P_r=p_r, P_s=t1 * p_r, P_c=p_c, P_d=p_d, W_T=stored_energy(design),
-        breakdown=ResistanceBreakdown(
-            R_r=r_r, R_s=r_s, R_c=r_c, R_d=r_d, R_total=r_r + r_s + r_c + r_d),
+        P_r=p_r, P_s=t1 * p_r, P_c=p_c, P_d=p_d, W_T=w_t,
+        breakdown=ResistanceBreakdown(R_r=r_r, R_s=r_s, R_c=r_c, R_d=r_d, R_total=r_total),
+        Q=q,
     )
 
 
@@ -278,13 +292,16 @@ def r_total_circ(
 
 def q_total_circ(design: CircPatchDesign, f: float, t1_form: str = "printed") -> float:
     """Quality factor of the energy budget, omega W_T over the summed
-    radiated, surface-wave, conductor, and dielectric powers; written as
-    omega W_T R_r / (P_r R_total), which is the same ratio."""
-    b = _budget(design, f, t1_form)
-    return 2.0 * math.pi * f * b.W_T * b.breakdown.R_r / (b.P_r * b.breakdown.R_total)
+    radiated, surface-wave, conductor, and dielectric powers."""
+    return _budget(design, f, t1_form).Q
 
 
-def _feed_taper_circ(design: CircPatchDesign, rho0: float) -> float:
+def _feed_taper(design: CircPatchDesign, rho0: float | None) -> float:
+    # None is the edge-equivalent reference, where the taper is 1.
+    if rho0 is None:
+        return 1.0
+    if not 0.0 <= rho0 <= design.a:
+        raise DomainError(f"feed radius must lie in [0, a], got {rho0}")
     k11 = J1P_FIRST_ROOT / design.a_eff
     j = bessel_j(1, k11 * rho0)
     return (j / _J1_AT_ROOT) ** 2
@@ -315,13 +332,17 @@ def input_resistance_circ(
     """
     if rho0 is None:
         rho0 = design.rho0
-    if rho0 is None:
-        taper = 1.0
-    else:
-        if not 0.0 <= rho0 <= design.a:
-            raise DomainError(f"feed radius must lie in [0, a], got {rho0}")
-        taper = _feed_taper_circ(design, rho0)
-    return _basis_resistance(design, f, basis, t1_form) * taper
+    return _basis_resistance(design, f, basis, t1_form) * _feed_taper(design, rho0)
+
+
+def resonator_terms_circ(
+    design: CircPatchDesign, f: float, t1_form: str = "printed"
+) -> tuple[float, float]:
+    """Total-basis input resistance at the design's feed radius and the Q,
+    both from one budget pass; equal to ``input_resistance_circ(design, f,
+    basis="total")`` and :func:`q_total_circ`."""
+    b = _budget(design, f, t1_form)
+    return b.breakdown.R_total * _feed_taper(design, design.rho0), b.Q
 
 
 def feed_radius_for_match(
@@ -339,7 +360,7 @@ def feed_radius_for_match(
     if not target_R > 0.0:
         raise DomainError(f"target resistance must be > 0, got {target_R}")
     base = _basis_resistance(design, f, basis, t1_form)
-    edge = base * _feed_taper_circ(design, design.a)
+    edge = base * _feed_taper(design, design.a)
     if target_R > edge:
         raise DomainError(
             f"target {target_R:.4g} ohm exceeds the {edge:.4g} ohm available at "
@@ -354,12 +375,6 @@ def feed_radius_for_match(
         Bracket(0.0, design.a),
         tol=1e-12 * design.a,
     )
-
-
-def _j_on_grid(n: int, values: np.ndarray) -> np.ndarray:
-    flat = np.ravel(values)
-    out = np.array([bessel_j(n, float(v)) for v in flat])
-    return out.reshape(np.shape(values))
 
 
 def far_fields(
@@ -377,16 +392,21 @@ def far_fields(
     E0 h k0 a_eff / 2. Hemispherical integration of these fields reproduces
     the radiated-power series within its truncation error.
 
-    theta is restricted to the upper hemisphere [0, pi/2].
+    theta is restricted to the upper hemisphere [0, pi/2]; angles must be
+    finite and E0 finite and positive.
     """
+    if not (math.isfinite(E0) and E0 > 0.0):
+        raise DomainError(f"edge field amplitude must be finite and > 0, got {E0}")
     theta_arr = np.asarray(theta, dtype=float)
     phi_arr = np.asarray(phi, dtype=float)
+    if not (np.all(np.isfinite(theta_arr)) and np.all(np.isfinite(phi_arr))):
+        raise DomainError("theta and phi must be finite")
     if np.any(theta_arr < 0.0) or np.any(theta_arr > math.pi / 2 + 1e-12):
         raise DomainError("theta must lie in the upper hemisphere [0, pi/2]")
     k0 = wavenumber(f)
     u = k0 * design.a_eff * np.sin(theta_arr)
-    j0 = _j_on_grid(0, u)
-    j2 = _j_on_grid(2, u)
+    j0 = bessel_j_array(0, u)
+    j2 = bessel_j_array(2, u)
     pref = E0 * design.substrate.h * k0 * design.a_eff / 2.0
     e_theta = np.abs(pref * np.cos(phi_arr) * (j0 - j2))
     e_phi = np.abs(pref * np.cos(theta_arr) * np.sin(phi_arr) * (j0 + j2))
@@ -419,8 +439,8 @@ def directivity(design: CircPatchDesign, f: float, n_theta: int = 2001) -> float
     k0a = wavenumber(f) * design.a_eff
     theta = np.linspace(0.0, math.pi / 2, n_theta)
     u = k0a * np.sin(theta)
-    j0 = _j_on_grid(0, u)
-    j2 = _j_on_grid(2, u)
+    j0 = bessel_j_array(0, u)
+    j2 = bessel_j_array(2, u)
     integrand = ((j0 - j2) ** 2 + np.cos(theta) ** 2 * (j0 + j2) ** 2) * np.sin(theta)
     return 4.0 / float(np.trapezoid(integrand, theta))
 

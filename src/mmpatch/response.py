@@ -153,8 +153,7 @@ def circ_resonator(design: circpatch.CircPatchDesign,
     radius, resistance at the design's feed radius (total basis), Q from the
     energy budget."""
     f_res = circpatch.resonant_frequency(design.a_eff, design.substrate, fringing=False)
-    r_res = circpatch.input_resistance_circ(design, f_res, basis="total", t1_form=t1_form)
-    q = circpatch.q_total_circ(design, f_res, t1_form)
+    r_res, q = circpatch.resonator_terms_circ(design, f_res, t1_form)
     return ResonatorModel(f_res=f_res, r_res=r_res, q_total=q)
 
 

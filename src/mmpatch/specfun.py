@@ -7,6 +7,13 @@ Self-contained kernel: no scipy dependency. Two evaluation branches:
 * Miller's downward recurrence with the J0 + 2*sum(J_2k) = 1 normalization
   for larger arguments.
 
+:func:`bessel_j` evaluates one argument; :func:`bessel_j_array` runs the
+same series over a whole numpy array, one loop step for all elements with
+the scalar operations in the scalar order, and latches each element on the
+step where the scalar loop would stop. It is therefore bit-identical to
+``bessel_j`` element by element. Its rare elements past the series range go
+to the scalar Miller branch.
+
 Validated to better than 1e-10 absolute error for |x| <= 30, which covers
 every argument the patch models produce (their arguments stay below ~3).
 """
@@ -17,15 +24,21 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import BracketError, ConvergenceError, DomainError
 
 _SERIES_CUTOFF = 12.0
 _MAX_BISECTIONS = 100
 
 
-def _check_order_and_arg(n: int, x: float) -> None:
+def _check_order(n: int) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError(f"Bessel order must be a non-negative integer, got {n!r}")
+
+
+def _check_order_and_arg(n: int, x: float) -> None:
+    _check_order(n)
     if not math.isfinite(x):
         raise DomainError(f"Bessel argument must be finite, got {x!r}")
 
@@ -87,6 +100,50 @@ def bessel_j(n: int, x: float) -> float:
     if x <= _SERIES_CUTOFF:
         return sign * _bessel_series(n, x)
     return sign * _bessel_miller(n, x)
+
+
+def bessel_j_array(n: int, x: float | np.ndarray) -> np.ndarray:
+    """J_n over an array of finite real arguments, shape kept.
+
+    Element by element bit-identical to :func:`bessel_j`: each step of the
+    ascending series updates every element with the scalar operations, and an
+    element's sum is taken on the step where the scalar stopping rule holds.
+    """
+    _check_order(n)
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("Bessel arguments must be finite")
+    mag = np.abs(arr)
+    in_series = mag <= _SERIES_CUTOFF
+    half = 0.5 * mag[in_series]
+    term = np.ones_like(half)
+    for k in range(1, n + 1):
+        term = term * (half / k)
+    total = term
+    series = np.empty_like(half)
+    done = np.zeros(half.shape, dtype=bool)
+    hh = -(half * half)
+    k = 1
+    while True:
+        term = term * (hh / (k * (k + n)))
+        total = total + term
+        stop = ~done & (np.abs(term) < 1e-16 * np.maximum(np.abs(total), 1e-300))
+        np.copyto(series, total, where=stop)
+        done |= stop
+        if done.all():
+            break
+        k += 1
+        if k > 200:  # unreachable for |x| <= 12
+            np.copyto(series, total, where=~done)
+            break
+    out = np.empty_like(arr)
+    out[in_series] = series
+    far = ~in_series
+    out[far] = [bessel_j(n, float(v)) for v in arr[far]]
+    if n % 2:
+        # J_n(-x) = (-1)^n J_n(x); bessel_j already signed the far elements.
+        out = np.where(in_series & (arr < 0.0), -out, out)
+    return out
 
 
 def bessel_j_prime(n: int, x: float) -> float:

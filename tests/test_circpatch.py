@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mmpatch import circpatch
 from mmpatch.circpatch import (
     J1P_FIRST_ROOT,
     CircPatchDesign,
@@ -29,6 +30,7 @@ from mmpatch.circpatch import (
     radiated_power_from_pattern,
     resonant_frequency,
     resonant_radius,
+    resonator_terms_circ,
     stored_energy,
     stored_energy_closed_form,
     synth_circ,
@@ -36,7 +38,7 @@ from mmpatch.circpatch import (
 from mmpatch.errors import DomainError
 from mmpatch.media import C0, SubstrateSpec, wavenumber
 from mmpatch.rectpatch import surface_wave_factor
-from mmpatch.specfun import jprime_first_root
+from mmpatch.specfun import bessel_j, jprime_first_root
 
 from oracles import pattern_power
 
@@ -283,6 +285,12 @@ class TestQuality:
         f_res = resonant_frequency(design.a, design.substrate)
         assert q_total_circ(design, f_res) == pytest.approx(1.5943067126511548, rel=1e-4)
 
+    def test_resonator_terms_equal_separate_calls(self, sub):
+        d = synth_circ(F0, sub)
+        r_in, q = resonator_terms_circ(d, F0)
+        assert r_in == input_resistance_circ(d, F0, basis="total")
+        assert q == q_total_circ(d, F0)
+
 
 class TestLossPowers:
     def test_lossless_limits(self, design, sub):
@@ -290,6 +298,12 @@ class TestLossPowers:
         assert p_dielectric(no_loss, F0) == 0.0
         great_metal = circ_design_from_radius(design.a, replace(sub, sigma=1e30), F0)
         assert p_conductor(great_metal, F0) < p_conductor(design, F0) * 1e-10
+
+    def test_budget_powers_equal_public_formulas(self, design):
+        rep = loss_report(design, F0, E0=1.0)
+        assert rep.P_c == p_conductor(design, F0)
+        assert rep.P_d == p_dielectric(design, F0)
+        assert rep.W_T == stored_energy(design)
 
     def test_power_ratio_identity(self, design, sub):
         ratio = p_dielectric(design, F0) / p_conductor(design, F0)
@@ -368,11 +382,56 @@ class TestFarFields:
         with pytest.raises(DomainError):
             far_fields(design, F0, 1.0, math.pi * 0.75, 0.0)
 
+    @pytest.mark.parametrize("theta,phi", [(math.nan, 0.0), (0.3, math.nan),
+                                           (np.array([0.1, math.nan]), 0.0),
+                                           (0.3, math.inf)])
+    def test_non_finite_angles_rejected(self, design, theta, phi):
+        with pytest.raises(DomainError):
+            far_fields(design, F0, 1.0, theta, phi)
+
+    @pytest.mark.parametrize("E0", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_field_amplitude_rejected(self, design, E0):
+        with pytest.raises(DomainError):
+            far_fields(design, F0, E0, 0.3, 0.2)
+
     def test_hemispherical_power_matches_series_at_design(self, design):
         # independent longhand trapezoid oracle on the published grid
         oracle = pattern_power(design, F0)
         assert radiated_power_from_pattern(design, F0) == pytest.approx(oracle, rel=1e-9)
         assert oracle == pytest.approx(p_radiated(design, F0), rel=0.05)
+
+
+def _scalar_bessel_loop(n, values):
+    flat = np.ravel(values)
+    return np.array([bessel_j(n, float(v)) for v in flat]).reshape(np.shape(values))
+
+
+class TestArrayKernelExact:
+    # The far-field quadratures must give the same floats as a point-by-point
+    # loop over the scalar kernel.
+    def _both(self, monkeypatch, fn):
+        fast = fn()
+        monkeypatch.setattr(circpatch, "bessel_j_array", _scalar_bessel_loop)
+        return fast, fn()
+
+    def test_directivity(self, design, monkeypatch):
+        fast, ref = self._both(monkeypatch, lambda: [
+            directivity(design, f) for f in (F0, 0.6 * F0, 1.7 * F0)])
+        assert fast == ref
+
+    def test_pattern_cut(self, design, monkeypatch):
+        fast, ref = self._both(monkeypatch, lambda: [
+            pattern_cut(design, F0, plane, step=math.radians(0.5)) for plane in ("E", "H")])
+        assert fast == ref
+
+    def test_far_fields_grid(self, design, monkeypatch):
+        theta = np.linspace(0.0, math.pi / 2, 46)
+        phi = np.linspace(0.0, 2.0 * math.pi, 73)
+        fast, ref = self._both(monkeypatch, lambda: far_fields(
+            design, 1.4 * F0, 2.5, theta[:, None], phi[None, :]))
+        for a, b in zip(fast, ref):
+            assert a.shape == (46, 73)
+            assert np.array_equal(a, b)
 
 
 class TestDirectivityEfficiencyGain:

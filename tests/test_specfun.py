@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy import special
 
@@ -7,6 +8,7 @@ from mmpatch.errors import BracketError, ConvergenceError, DomainError
 from mmpatch.specfun import (
     Bracket,
     bessel_j,
+    bessel_j_array,
     bessel_j_prime,
     find_root_bracketed,
     jprime_first_root,
@@ -64,6 +66,49 @@ class TestBesselJ:
         for x in [0.01, 0.1, 0.9, 2.0, 5.5, 9.0, 13.0, 16.5, 20.0]:
             residual = bessel_j(n - 1, x) + bessel_j(n + 1, x) - (2.0 * n / x) * bessel_j(n, x)
             assert abs(residual) < 1e-8
+
+
+def scalar_loop(n, values):
+    flat = np.ravel(np.asarray(values, dtype=float))
+    return np.array([bessel_j(n, float(v)) for v in flat]).reshape(np.shape(values))
+
+
+class TestBesselArray:
+    # Exact equality: the array series repeats the scalar operations in order.
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.linspace(0.0, 3.0, 301),
+            np.linspace(-12.0, 12.0, 241),
+            np.linspace(12.05, 30.0, 60),
+            np.concatenate([np.linspace(-30.0, -12.5, 15), [0.0, 1e-300, 0.7, 12.0]]),
+        ],
+        ids=["grid-with-zero", "negative", "miller", "mixed"],
+    )
+    def test_equals_scalar_kernel(self, n, x):
+        assert np.array_equal(bessel_j_array(n, x), scalar_loop(n, x))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_shape_kept(self, n):
+        zero_d = bessel_j_array(n, -1.3)
+        assert zero_d.shape == ()
+        assert float(zero_d) == bessel_j(n, -1.3)
+        grid = np.linspace(-20.0, 20.0, 12).reshape(3, 4)
+        out = bessel_j_array(n, grid)
+        assert out.shape == (3, 4)
+        assert np.array_equal(out, scalar_loop(n, grid))
+
+    def test_rejects_non_finite_argument(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                bessel_j_array(0, np.array([0.5, bad]))
+
+    def test_rejects_bad_order(self):
+        with pytest.raises(DomainError):
+            bessel_j_array(-1, np.array([1.0]))
+        with pytest.raises(DomainError):
+            bessel_j_array(1.5, np.array([1.0]))  # type: ignore[arg-type]
 
 
 class TestBesselJPrime:
