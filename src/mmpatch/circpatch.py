@@ -147,9 +147,16 @@ def circ_design_from_radius(
     return CircPatchDesign(a=a, a_eff=a_eff, rho0=rho0, substrate=sub, f_design=f_design)
 
 
+def _check_e0(E0: float, zero_ok: bool = False) -> None:
+    # Powers and energies scale with E0^2 and are exactly 0 at E0 = 0; field
+    # records and far fields need a positive amplitude.
+    if not (math.isfinite(E0) and (E0 > 0.0 or (zero_ok and E0 == 0.0))):
+        bound = ">= 0" if zero_ok else "> 0"
+        raise DomainError(f"edge field amplitude must be finite and {bound}, got {E0}")
+
+
 def cavity_field(design: CircPatchDesign, E0: float = 1.0) -> CavityField:
-    if not E0 > 0.0:
-        raise DomainError(f"edge field amplitude must be > 0, got {E0}")
+    _check_e0(E0)
     k11 = J1P_FIRST_ROOT / design.a_eff
     return CavityField(E0=E0, k=k11, k11=k11)
 
@@ -163,6 +170,7 @@ def _radiation_series(k0a: float) -> float:
 
 def p_radiated(design: CircPatchDesign, f: float, E0: float = 1.0) -> float:
     """Radiated power of the lowest mode at edge-field amplitude E0 (W)."""
+    _check_e0(E0, zero_ok=True)
     lam0 = free_space_wavelength(f)
     k0a = wavenumber(f) * design.a_eff
     if k0a > 1.8:
@@ -202,6 +210,7 @@ def stored_energy(design: CircPatchDesign, E0: float = 1.0) -> float:
     and by Lommel's integral with J1'(c) = 0 at c = k11 a_eff the radial
     integral is exactly (a_eff^2 / 2) J1(c)^2 (1 - 1/c^2).
     """
+    _check_e0(E0, zero_ok=True)
     sub = design.substrate
     integral = 0.5 * design.a_eff**2 * _EDGE_BRACKET / J1P_FIRST_ROOT**2
     return 0.5 * EPS0 * sub.eps_r * sub.h * math.pi * E0 * E0 * integral
@@ -210,6 +219,7 @@ def stored_energy(design: CircPatchDesign, E0: float = 1.0) -> float:
 def stored_energy_closed_form(design: CircPatchDesign, f: float, E0: float = 1.0) -> float:
     """The stored energy written with the frequency instead of the radius;
     equals :func:`stored_energy` at the design resonance. Cross-check only."""
+    _check_e0(E0, zero_ok=True)
     omega = 2.0 * math.pi * f
     return E0 * E0 * design.substrate.h / (8.0 * omega * f * MU0) * _EDGE_BRACKET
 
@@ -395,8 +405,7 @@ def far_fields(
     theta is restricted to the upper hemisphere [0, pi/2]; angles must be
     finite and E0 finite and positive.
     """
-    if not (math.isfinite(E0) and E0 > 0.0):
-        raise DomainError(f"edge field amplitude must be finite and > 0, got {E0}")
+    _check_e0(E0)
     theta_arr = np.asarray(theta, dtype=float)
     phi_arr = np.asarray(phi, dtype=float)
     if not (np.all(np.isfinite(theta_arr)) and np.all(np.isfinite(phi_arr))):
@@ -489,6 +498,7 @@ def loss_report(
     """Powers, stored energy, resistance breakdown, efficiency, directivity,
     and gain in one record; powers and energy scale with E0^2, nothing else
     depends on it."""
+    _check_e0(E0, zero_ok=True)
     b = _budget(design, f, t1_form)
     e0sq = E0 * E0
     e_r = b.breakdown.R_r / b.breakdown.R_total

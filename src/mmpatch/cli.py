@@ -14,7 +14,7 @@ error, 3 convergence error.
 from __future__ import annotations
 
 import argparse
-import json
+import io
 import math
 import sys
 from dataclasses import dataclass
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from . import circpatch, rectpatch, response
 from .errors import ConfigError, ConvergenceError, DomainError
 from .media import SubstrateSpec, thickness_regime
+from .tables import csv_text, json_text
 
 _KNOWN_KEYS = {
     "geometry", "f_ghz", "variant", "target_r_ohm",
@@ -34,6 +35,8 @@ _KNOWN_KEYS = {
 }
 
 _CIRC_VARIANTS = ("fringing", "no-fringing")
+
+_PATTERN_CSV_HEADER = "theta_deg,e_plane_db,h_plane_db"
 
 
 @dataclass
@@ -125,6 +128,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--sigma", type=float, help="metal conductivity (S/m)")
         p.add_argument("--zref", type=float, help="reference impedance (ohm)")
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def build_job(args: argparse.Namespace) -> JobConfig:
@@ -278,7 +284,8 @@ def cmd_design(job: JobConfig) -> dict:
     if job.geometry == "rect":
         design = _rect_design(job)
         der = rectpatch.derive_rect(design, job.f_design, job.t1_form)
-        r_in = rectpatch.input_resistance_rect(design, job.f_design, job.variant)
+        r_in = rectpatch.input_resistance_rect(design, job.f_design, job.variant,
+                                                job.t1_form)
         report["design"] = {
             "L_mm": design.L * 1e3,
             "W_mm": design.W * 1e3,
@@ -314,7 +321,7 @@ def cmd_analyze(job: JobConfig) -> dict:
     f = job.f_design
     if job.geometry == "rect":
         design = _rect_design(job)
-        breakdown, der, r_in = rectpatch.analyze_rect(design, f, job.variant)
+        breakdown, der, r_in = rectpatch.analyze_rect(design, f, job.variant, job.t1_form)
         report["breakdown"] = _breakdown_dict(breakdown)
         report["r_in_ohm"] = r_in
         report["sum_check_ohm"] = breakdown.R_r + breakdown.R_s + breakdown.R_c + breakdown.R_d
@@ -350,7 +357,7 @@ def cmd_analyze(job: JobConfig) -> dict:
 
 def _resonator_for(job: JobConfig):
     if job.geometry == "rect":
-        return response.rect_resonator(_rect_design(job), job.variant)
+        return response.rect_resonator(_rect_design(job), job.variant, job.t1_form)
     return response.circ_resonator(_circ_design(job), job.t1_form)
 
 
@@ -398,16 +405,11 @@ def cmd_pattern(job: JobConfig) -> tuple[dict, list[tuple[float, float, float]]]
     return summary, rows
 
 
-def _dump_json(obj: dict, path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _json_report(obj: dict) -> str:
+    return json_text(obj) + "\n"
 
 
-def _dump_kv_csv(obj: dict, path: str | None) -> None:
+def _kv_csv(obj: dict) -> str:
     lines = ["key,value"]
 
     def walk(prefix: str, value) -> None:
@@ -420,7 +422,11 @@ def _dump_kv_csv(obj: dict, path: str | None) -> None:
             lines.append(f"{prefix},{format(value, '.10g') if isinstance(value, float) else value}")
 
     walk("", obj)
-    text = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def _emit(text: str, path: str | None) -> None:
+    """Write one rendered output to ``path``, or to stdout without one."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -430,48 +436,25 @@ def _dump_kv_csv(obj: dict, path: str | None) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        job = build_job(args)
-        if job.command == "design":
-            report = cmd_design(job)
-            if job.output_format == "json":
-                _dump_json(report, job.output_path)
-            else:
-                _dump_kv_csv(report, job.output_path)
-        elif job.command == "analyze":
-            report = cmd_analyze(job)
-            if job.output_format == "json":
-                _dump_json(report, job.output_path)
-            else:
-                _dump_kv_csv(report, job.output_path)
-        elif job.command == "sweep":
+        job = build_job(_PARSER.parse_args(argv))
+        as_json = job.output_format == "json"
+        if job.command == "sweep":
             summary, resp = cmd_sweep(job)
-            if job.output_format == "json":
-                payload = dict(summary)
-                payload["response"] = resp.to_json_dict()
-                _dump_json(payload, job.output_path)
+            if as_json:
+                _emit(_json_report({**summary, "response": resp.to_json_dict()}),
+                      job.output_path)
             else:
-                if job.output_path:
-                    with open(job.output_path, "w", encoding="utf-8") as fh:
-                        resp.write_csv(fh)
-                else:
-                    resp.write_csv(sys.stdout)
-                sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+                buf = io.StringIO()
+                resp.write_csv(buf)
+                _emit(buf.getvalue(), job.output_path)
+                _emit(_json_report(summary), None)
         elif job.command == "pattern":
             summary, rows = cmd_pattern(job)
-            if job.output_format == "json":
-                _dump_json(summary, job.output_path)
-            else:
-                lines = ["theta_deg,e_plane_db,h_plane_db"]
-                lines += [
-                    ",".join(format(v, ".10g") for v in row) for row in rows
-                ]
-                text = "\n".join(lines) + "\n"
-                if job.output_path:
-                    with open(job.output_path, "w", encoding="utf-8") as fh:
-                        fh.write(text)
-                else:
-                    sys.stdout.write(text)
+            _emit(_json_report(summary) if as_json else csv_text(_PATTERN_CSV_HEADER, rows),
+                  job.output_path)
+        else:
+            report = cmd_design(job) if job.command == "design" else cmd_analyze(job)
+            _emit(_json_report(report) if as_json else _kv_csv(report), job.output_path)
         return 0
     except ConfigError as exc:
         print(f"mmpatch: config error: {exc}", file=sys.stderr)

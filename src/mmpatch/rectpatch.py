@@ -272,14 +272,17 @@ def feed_taper(design: RectPatchDesign, f: float, a: float | None = None) -> flo
     return _feed_factor_raw(x_feed) / _feed_factor_raw(x_edge)
 
 
-def input_resistance_rect(design: RectPatchDesign, f: float, variant: str) -> float:
+def input_resistance_rect(
+    design: RectPatchDesign, f: float, variant: str, t1_form: str = "printed"
+) -> float:
     """Resonant input resistance at the design's feed inset.
 
     The radiation term is tapered with feed position; surface-wave,
-    conductor, and dielectric terms add in series untapered.
+    conductor, and dielectric terms add in series untapered. ``t1_form``
+    selects the surface-wave loss factor (see :func:`surface_wave_factor`).
     """
     r_r = r_radiation_rect(design, f, variant)
-    _, t1 = surface_wave_factor(design.substrate, f)
+    _, t1 = surface_wave_factor(design.substrate, f, t1_form)
     tau = feed_taper(design, f)
     return r_r * tau + t1 * r_r + r_conductor_rect(design, f) + r_dielectric_rect(design, f)
 
@@ -306,11 +309,12 @@ def derive_rect(design: RectPatchDesign, f: float, t1_form: str = "printed") -> 
 
 
 def analyze_rect(
-    design: RectPatchDesign, f: float, variant: str
+    design: RectPatchDesign, f: float, variant: str, t1_form: str = "printed"
 ) -> tuple[ResistanceBreakdown, RectDerived, float]:
     """Full analysis: resistance breakdown, derived intermediates, and the
-    input resistance at the design's feed inset."""
-    der = derive_rect(design, f)
+    input resistance at the design's feed inset, with the surface-wave
+    term from ``t1_form``."""
+    der = derive_rect(design, f, t1_form)
     r_r = r_radiation_rect(design, f, variant)
     r_s = der.T1 * r_r
     r_c = r_conductor_rect(design, f)

@@ -7,17 +7,20 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import IO
 
 import numpy as np
 
 from . import circpatch, rectpatch
 from .errors import DomainError
+from .tables import csv_text
 
 RL_CLAMP_DB = -100.0          # keeps CSV/JSON finite on a perfect match
 BANDWIDTH_CRITERION_DB = -10.0
 
 CSV_HEADER = "f_hz,r_in_ohm,x_in_ohm,gamma_mag,rl_db,vswr"
+_COLUMNS = tuple(CSV_HEADER.split(","))
 
 
 @dataclass(frozen=True)
@@ -71,24 +74,17 @@ class FrequencyResponse:
     vswr: np.ndarray
     reference_impedance: float = 50.0
 
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in _COLUMNS)
+
     def write_csv(self, stream: IO[str]) -> None:
-        stream.write(CSV_HEADER + "\n")
-        for row in zip(self.f_hz, self.r_in_ohm, self.x_in_ohm,
-                       self.gamma_mag, self.rl_db, self.vswr):
-            stream.write(",".join(format(v, ".10g") for v in row) + "\n")
+        stream.write(csv_text(CSV_HEADER, np.column_stack(self._columns())))
 
     def to_json_dict(self) -> dict:
+        columns = [np.asarray(c, dtype=float).tolist() for c in self._columns()]
         return {
             "reference_impedance": self.reference_impedance,
-            "samples": [
-                {
-                    "f_hz": float(f), "r_in_ohm": float(r), "x_in_ohm": float(x),
-                    "gamma_mag": float(g), "rl_db": float(rl), "vswr": float(v),
-                }
-                for f, r, x, g, rl, v in zip(
-                    self.f_hz, self.r_in_ohm, self.x_in_ohm,
-                    self.gamma_mag, self.rl_db, self.vswr)
-            ],
+            "samples": list(map(dict, map(zip, repeat(_COLUMNS), zip(*columns)))),
         }
 
     def to_json(self) -> str:
@@ -136,12 +132,14 @@ def vswr(gamma_mag: float) -> float:
     return (1.0 + gamma_mag) / (1.0 - gamma_mag)
 
 
-def rect_resonator(design: rectpatch.RectPatchDesign, variant: str) -> ResonatorModel:
+def rect_resonator(
+    design: rectpatch.RectPatchDesign, variant: str, t1_form: str = "printed"
+) -> ResonatorModel:
     """RLC stand-in for a rectangular design: resonance at the design
-    frequency, resistance from the feed-inset analysis, Q from the
-    radiation quality factor."""
+    frequency, resistance from the feed-inset analysis (surface-wave term
+    from ``t1_form``), Q from the radiation quality factor."""
     f0 = design.f_design
-    r_res = rectpatch.input_resistance_rect(design, f0, variant)
+    r_res = rectpatch.input_resistance_rect(design, f0, variant, t1_form)
     eew = rectpatch.eps_effective(design.substrate, design.L)
     q = rectpatch.q_radiation(design.substrate, f0, eew)
     return ResonatorModel(f_res=f0, r_res=r_res, q_total=q)

@@ -509,3 +509,36 @@ class TestLossReport:
         assert rep.P_s == pytest.approx(GOLD["T1"] * rep.P_r, rel=1e-9)
         assert rep.breakdown.R_total == pytest.approx(GOLD["R_T"], rel=1e-5)
         assert rep.W_T == pytest.approx(GOLD["W_T"], rel=1e-5)
+
+
+class TestFieldAmplitudeValidation:
+    """One E0 rule: finite everywhere; positive for field records and far
+    fields, non-negative for powers and energies (exactly 0 at E0 = 0)."""
+
+    FIELD_CALLS = {
+        "cavity_field": lambda d, E0: cavity_field(d, E0),
+        "far_fields": lambda d, E0: far_fields(d, F0, E0, 0.3, 0.2),
+    }
+    POWER_CALLS = {
+        "p_radiated": lambda d, E0: p_radiated(d, F0, E0),
+        "stored_energy": lambda d, E0: stored_energy(d, E0),
+        "stored_energy_closed_form": lambda d, E0: stored_energy_closed_form(d, F0, E0),
+        "p_conductor": lambda d, E0: p_conductor(d, F0, E0),
+        "p_dielectric": lambda d, E0: p_dielectric(d, F0, E0),
+        "loss_report": lambda d, E0: loss_report(d, F0, E0=E0).P_r,
+    }
+
+    @pytest.mark.parametrize("E0", [math.nan, math.inf, -math.inf, 0.0, -2.0])
+    @pytest.mark.parametrize("name", sorted(FIELD_CALLS) + sorted(POWER_CALLS))
+    def test_bad_amplitude_rejected(self, design, name, E0):
+        call = {**self.FIELD_CALLS, **self.POWER_CALLS}[name]
+        if E0 == 0.0 and name in self.POWER_CALLS:
+            assert call(design, E0) == 0.0
+            return
+        with pytest.raises(DomainError, match="edge field amplitude"):
+            call(design, E0)
+
+    def test_zero_field_loss_report_is_all_zero(self, design):
+        rep = loss_report(design, F0, E0=0.0)
+        assert (rep.P_r, rep.P_s, rep.P_c, rep.P_d, rep.W_T) == (0.0,) * 5
+        assert rep.breakdown == loss_report(design, F0).breakdown

@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from mmpatch import cli, response
 from mmpatch.cli import main
 from mmpatch.errors import ConfigError, ConvergenceError, DomainError
 
@@ -228,3 +230,107 @@ class TestExitCodeMapping:
         assert run_with(ConfigError("x")) == 1
         assert run_with(DomainError("x")) == 2
         assert run_with(ConvergenceError("x")) == 3
+
+
+class TestRectT1Form:
+    @pytest.mark.parametrize("command,field", [
+        ("design", ("design", "r_in_ohm")),
+        ("analyze", ("r_in_ohm",)),
+        ("sweep", ("model", "r_res_ohm")),
+    ])
+    def test_corrected_form_changes_rect_input_resistance(self, tmp_path, rect_config,
+                                                          command, field):
+        values = {}
+        for form in ("printed", "corrected"):
+            out = tmp_path / f"{command}_{form}.json"
+            assert main([command, "--config", rect_config, "--t1-form", form,
+                         "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert report["settings"]["t1_form"] == form
+            for key in field:
+                report = report[key]
+            values[form] = report
+        assert values["corrected"] != pytest.approx(values["printed"], rel=1e-6)
+
+
+def _stdlib_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _per_row_csv(header: str, rows) -> str:
+    return header + "\n" + "".join(
+        ",".join(format(v, ".10g") for v in row) + "\n" for row in rows)
+
+
+def _key_value_csv(obj: dict) -> str:
+    lines = ["key,value"]
+
+    def walk(prefix, value):
+        if isinstance(value, dict):
+            for k in sorted(value):
+                walk(f"{prefix}.{k}" if prefix else k, value[k])
+        elif isinstance(value, list):
+            lines.append(f"{prefix},{';'.join(str(v) for v in value)}")
+        elif isinstance(value, float):
+            lines.append(f"{prefix},{format(value, '.10g')}")
+        else:
+            lines.append(f"{prefix},{value}")
+
+    walk("", obj)
+    return "\n".join(lines) + "\n"
+
+
+def _expected_outputs(argv: list[str]) -> tuple[str, str]:
+    """File text and stdout text of one command, rendered from its ``cmd_*``
+    report with the standard library and per-row formatting."""
+    job = cli.build_job(cli._PARSER.parse_args(argv))
+    as_json = job.output_format == "json"
+    if job.command == "sweep":
+        summary, resp = cli.cmd_sweep(job)
+        if not as_json:
+            rows = zip(resp.f_hz, resp.r_in_ohm, resp.x_in_ohm,
+                       resp.gamma_mag, resp.rl_db, resp.vswr)
+            return _per_row_csv(response.CSV_HEADER, rows), _stdlib_json(summary)
+        columns = response.CSV_HEADER.split(",")
+        samples = [{c: float(getattr(resp, c)[i]) for c in columns}
+                   for i in range(len(resp.f_hz))]
+        payload = {**summary, "response": {
+            "reference_impedance": resp.reference_impedance, "samples": samples}}
+        return _stdlib_json(payload), ""
+    if job.command == "pattern":
+        summary, rows = cli.cmd_pattern(job)
+        if as_json:
+            return _stdlib_json(summary), ""
+        return _per_row_csv("theta_deg,e_plane_db,h_plane_db", rows), ""
+    report = cli.cmd_design(job) if job.command == "design" else cli.cmd_analyze(job)
+    return (_stdlib_json(report) if as_json else _key_value_csv(report)), ""
+
+
+class TestWriterGolden:
+    """Every command, format and geometry writes exactly the standard-library
+    rendering of its report."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command,geometry", [
+        ("design", "rect"), ("design", "circ"), ("analyze", "rect"), ("analyze", "circ"),
+        ("sweep", "rect"), ("sweep", "circ"), ("pattern", "circ"),
+    ])
+    def test_output_equals_stdlib_rendering(self, tmp_path, capsys, rect_config,
+                                            circ_config, command, geometry, fmt):
+        config = rect_config if geometry == "rect" else circ_config
+        out = tmp_path / f"out.{fmt}"
+        argv = [command, "--config", config, "--format", fmt]
+        expected_file, expected_stdout = _expected_outputs(argv)
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text() == expected_file
+        assert capsys.readouterr().out == expected_stdout
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected_file + expected_stdout
+
+    def test_help_exits_0_after_a_run(self, rect_config, capsys):
+        # the module-level parser is reused; a run leaves no state behind
+        assert main(["design", "--config", rect_config, "--out", os.devnull]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["design", "--help"])
+        assert exc.value.code == 0
+        assert "--t1-form" in capsys.readouterr().out
