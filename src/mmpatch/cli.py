@@ -283,9 +283,7 @@ def cmd_design(job: JobConfig) -> dict:
     report: dict = {"command": "design", "settings": _settings_dict(job)}
     if job.geometry == "rect":
         design = _rect_design(job)
-        der = rectpatch.derive_rect(design, job.f_design, job.t1_form)
-        r_in = rectpatch.input_resistance_rect(design, job.f_design, job.variant,
-                                                job.t1_form)
+        _, der, r_in = rectpatch.analyze_rect(design, job.f_design, job.variant, job.t1_form)
         report["design"] = {
             "L_mm": design.L * 1e3,
             "W_mm": design.W * 1e3,
@@ -293,7 +291,7 @@ def cmd_design(job: JobConfig) -> dict:
             "r_in_ohm": r_in,
         }
         report["derived"] = {
-            "eps_eff": der.eps_eff, "eps_ew": der.eps_ew, "Q_r": der.Q_r,
+            "eps_eff": der.eps_ew, "eps_ew": der.eps_ew, "Q_r": der.Q_r,
             "Z0w_ohm": der.Z0w, "Z0a_ohm": der.Z0a, "W_eq_mm": der.W_eq * 1e3,
             "L_ef_mm": der.L_ef * 1e3, "delta_L_mm": der.delta_L * 1e3,
             "K1_rad_per_m": der.K1, "T1": der.T1, "lambda_d_mm": der.lambda_d * 1e3,

@@ -21,7 +21,8 @@ explicitly:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError, SingularFeedError, SynthesisError
 from .media import ETA0, MU0, SubstrateSpec, free_space_wavelength, wavenumber
@@ -62,16 +63,15 @@ class RectPatchDesign:
 class RectDerived:
     """Intermediate quantities of the analysis chain, kept for reporting."""
 
-    eps_eff: float    # synthesis-side effective permittivity
-    eps_ew: float     # analysis-side effective permittivity (same fit)
-    Q_r: float        # radiation quality factor
+    eps_ew: float     # effective permittivity
     Z0w: float        # substrate-filled strip impedance (ohm)
-    Z0a: float        # air-filled strip impedance (ohm)
     W_eq: float       # equivalent parallel-plate width (m)
     L_ef: float       # effective resonant length (m)
     delta_L: float    # open-edge length extension (m)
     K1: float         # surface-wave wavenumber (rad/m)
     T1: float         # surface-wave loss factor (dimensionless)
+    Q_r: float        # radiation quality factor
+    Z0a: float        # air-filled strip impedance (ohm)
     lambda_d: float   # in-dielectric wavelength (m)
 
 
@@ -151,37 +151,34 @@ def strip_impedance(sub: SubstrateSpec, W: float) -> float:
     return _z0_strip(sub.eps_r, W, sub.h)
 
 
-def equivalent_width(design: RectPatchDesign, f: float) -> float:
+def _geometry(design: RectPatchDesign) -> tuple[float, float, float, float, float]:
+    # eps_ew, Z0w, W_eq, L_ef, delta_L: the fringing terms; none depends on f
+    sub = design.substrate
+    L, W, h = design.L, design.W, sub.h
+    eew = eps_effective(sub, L)
+    z0w = _z0_strip(sub.eps_r, W, h)
+    w_eq = ETA0 * h / (z0w * math.sqrt(eew))
+    l_ef = L + 0.5 * (w_eq - W) * (eew + 0.9) / (eew - 0.299)
+    ratio = L / h
+    d_l = 0.412 * h * (eew + 0.9) / (eew - 0.299) * (ratio + 0.264) / (ratio + 0.813)
+    return eew, z0w, w_eq, l_ef, d_l
+
+
+def equivalent_width(design: RectPatchDesign) -> float:
     """Parallel-plate width presenting the same impedance as the strip:
     W_eq = eta0 * h / (Z0w * sqrt(eps_ew)). Always >= W because fringing
     lowers the strip impedance below the parallel-plate value."""
-    sub = design.substrate
-    eew = eps_effective(sub, design.L)
-    z0w = strip_impedance(sub, design.W)
-    return ETA0 * sub.h / (z0w * math.sqrt(eew))
+    return _geometry(design)[2]
 
 
-def effective_length(design: RectPatchDesign, f: float) -> float:
+def effective_length(design: RectPatchDesign) -> float:
     """Resonant length grown by the fringing-field extension on both edges."""
-    sub = design.substrate
-    eew = eps_effective(sub, design.L)
-    w_eq = equivalent_width(design, f)
-    return design.L + 0.5 * (w_eq - design.W) * (eew + 0.9) / (eew - 0.299)
+    return _geometry(design)[3]
 
 
 def edge_extension(design: RectPatchDesign) -> float:
     """Open-edge length extension delta_L, proportional to h."""
-    sub = design.substrate
-    eew = eps_effective(sub, design.L)
-    ratio = design.L / sub.h
-    return (
-        0.412
-        * sub.h
-        * (eew + 0.9)
-        / (eew - 0.299)
-        * (ratio + 0.264)
-        / (ratio + 0.813)
-    )
+    return _geometry(design)[4]
 
 
 def surface_wave_factor(
@@ -211,38 +208,41 @@ def surface_wave_factor(
     return K1, T1
 
 
+def _losses(design: RectPatchDesign, f: float, q_r: float) -> tuple[float, float]:
+    # R_c, and R_d as R_c scaled by the dielectric-to-conductor power-loss ratio
+    sub = design.substrate
+    r_c = 0.00027 * (design.L / design.W) * q_r * q_r * math.sqrt(f / 1e9)
+    return r_c, r_c * (sub.tan_delta * sub.h * math.sqrt(math.pi * f * MU0 * sub.sigma))
+
+
 def r_conductor_rect(design: RectPatchDesign, f: float) -> float:
     """Conductor-loss resistance: 0.00027 * (L/W) * Q_r^2 * sqrt(f in GHz)."""
-    eew = eps_effective(design.substrate, design.L)
-    qr = q_radiation(design.substrate, f, eew)
-    return 0.00027 * (design.L / design.W) * qr * qr * math.sqrt(f / 1e9)
+    sub = design.substrate
+    return _losses(design, f, q_radiation(sub, f, eps_effective(sub, design.L)))[0]
 
 
 def r_dielectric_rect(design: RectPatchDesign, f: float) -> float:
     """Dielectric-loss resistance, scaled off the conductor term by the
     dielectric-to-conductor power-loss ratio tan_delta * h * sqrt(pi f mu0 sigma)."""
     sub = design.substrate
-    ratio = sub.tan_delta * sub.h * math.sqrt(math.pi * f * MU0 * sub.sigma)
-    return r_conductor_rect(design, f) * ratio
+    return _losses(design, f, q_radiation(sub, f, eps_effective(sub, design.L)))[1]
 
 
-def _check_variant(variant: str) -> None:
+def _radiation(z0w: float, l_ef: float, f: float, variant: str) -> float:
     if variant not in RECT_VARIANTS:
         raise ConfigError(
             f"unknown rectangular model variant {variant!r}; expected one of {RECT_VARIANTS}"
         )
+    base = z0w * free_space_wavelength(f) / (2.0 * math.pi * l_ef)
+    if variant == "calibrated":
+        return RECT_CALIBRATION_SCALE * base
+    return base
 
 
 def r_radiation_rect(design: RectPatchDesign, f: float, variant: str) -> float:
     """Resonant (edge) radiation resistance under the selected model variant."""
-    _check_variant(variant)
-    lam0 = free_space_wavelength(f)
-    z0w = strip_impedance(design.substrate, design.W)
-    l_ef = effective_length(design, f)
-    base = z0w * lam0 / (2.0 * math.pi * l_ef)
-    if variant == "calibrated":
-        return RECT_CALIBRATION_SCALE * base
-    return base
+    _, z0w, _, l_ef, _ = _geometry(design)
+    return _radiation(z0w, l_ef, f, variant)
 
 
 def _feed_factor_raw(x: float) -> float:
@@ -256,6 +256,11 @@ def _feed_factor_raw(x: float) -> float:
     return (1.0 - math.sin(2.0 * x) / math.sin(x)) / denom
 
 
+def _taper(f: float, a: float, d_l: float) -> float:
+    k0 = wavenumber(f)
+    return _feed_factor_raw(k0 * (a + d_l)) / _feed_factor_raw(k0 * d_l)
+
+
 def feed_taper(design: RectPatchDesign, f: float, a: float | None = None) -> float:
     """Radiation-coupling taper of the feed inset, normalized to 1 at the
     radiating edge and decreasing monotonically toward the patch center.
@@ -265,11 +270,25 @@ def feed_taper(design: RectPatchDesign, f: float, a: float | None = None) -> flo
     """
     if a is None:
         a = design.feed_offset_a
-    k0 = wavenumber(f)
-    d_l = edge_extension(design)
-    x_feed = k0 * (a + d_l)
-    x_edge = k0 * d_l
-    return _feed_factor_raw(x_feed) / _feed_factor_raw(x_edge)
+    return _taper(f, a, edge_extension(design))
+
+
+# Every term of the analysis chain at one (design, f, variant, t1_form).
+_RectPass = namedtuple(
+    "_RectPass", "eps_ew Z0w W_eq L_ef delta_L K1 T1 Q_r R_r R_s R_c R_d r_in"
+)
+
+
+def _rect_pass(design: RectPatchDesign, f: float, variant: str, t1_form: str) -> _RectPass:
+    k1, t1 = surface_wave_factor(design.substrate, f, t1_form)
+    geometry = eew, z0w, _, l_ef, d_l = _geometry(design)
+    q_r = q_radiation(design.substrate, f, eew)
+    r_c, r_d = _losses(design, f, q_r)
+    r_r = _radiation(z0w, l_ef, f, variant)
+    r_s = t1 * r_r
+    # only the radiation term is tapered by the feed inset
+    r_in = r_r * _taper(f, design.feed_offset_a, d_l) + r_s + r_c + r_d
+    return _RectPass(*geometry, k1, t1, q_r, r_r, r_s, r_c, r_d, r_in)
 
 
 def input_resistance_rect(
@@ -281,31 +300,32 @@ def input_resistance_rect(
     conductor, and dielectric terms add in series untapered. ``t1_form``
     selects the surface-wave loss factor (see :func:`surface_wave_factor`).
     """
-    r_r = r_radiation_rect(design, f, variant)
-    _, t1 = surface_wave_factor(design.substrate, f, t1_form)
-    tau = feed_taper(design, f)
-    return r_r * tau + t1 * r_r + r_conductor_rect(design, f) + r_dielectric_rect(design, f)
+    return _rect_pass(design, f, variant, t1_form).r_in
+
+
+def resonator_terms_rect(
+    design: RectPatchDesign, f: float, variant: str, t1_form: str = "printed"
+) -> tuple[float, float]:
+    """Input resistance at the design's feed inset and the radiation Q, both
+    from one analysis pass; equal to :func:`input_resistance_rect` and
+    ``q_radiation(sub, f, eps_effective(sub, L))``."""
+    p = _rect_pass(design, f, variant, t1_form)
+    return p.r_in, p.Q_r
+
+
+def _derived(design: RectPatchDesign, f: float, terms: tuple[float, ...]) -> RectDerived:
+    # terms opens with the first eight fields of RectDerived, as a _RectPass does
+    sub = design.substrate
+    z0a = _z0_strip(1.0, design.W, sub.h)
+    return RectDerived(*terms[:8], z0a, free_space_wavelength(f) / math.sqrt(sub.eps_r))
 
 
 def derive_rect(design: RectPatchDesign, f: float, t1_form: str = "printed") -> RectDerived:
     """All intermediate analysis quantities for reporting."""
-    sub = design.substrate
-    lam0 = free_space_wavelength(f)
-    eew = eps_effective(sub, design.L)
-    k1, t1 = surface_wave_factor(sub, f, t1_form)
-    return RectDerived(
-        eps_eff=eps_effective(sub, design.L),
-        eps_ew=eew,
-        Q_r=q_radiation(sub, f, eew),
-        Z0w=strip_impedance(sub, design.W),
-        Z0a=strip_impedance(replace(sub, eps_r=1.0), design.W),
-        W_eq=equivalent_width(design, f),
-        L_ef=effective_length(design, f),
-        delta_L=edge_extension(design),
-        K1=k1,
-        T1=t1,
-        lambda_d=lam0 / math.sqrt(sub.eps_r),
-    )
+    k1, t1 = surface_wave_factor(design.substrate, f, t1_form)
+    geometry = _geometry(design)
+    q_r = q_radiation(design.substrate, f, geometry[0])
+    return _derived(design, f, (*geometry, k1, t1, q_r))
 
 
 def analyze_rect(
@@ -313,14 +333,9 @@ def analyze_rect(
 ) -> tuple[ResistanceBreakdown, RectDerived, float]:
     """Full analysis: resistance breakdown, derived intermediates, and the
     input resistance at the design's feed inset, with the surface-wave
-    term from ``t1_form``."""
-    der = derive_rect(design, f, t1_form)
-    r_r = r_radiation_rect(design, f, variant)
-    r_s = der.T1 * r_r
-    r_c = r_conductor_rect(design, f)
-    r_d = r_dielectric_rect(design, f)
+    term from ``t1_form``; every term comes from one analysis pass."""
+    p = _rect_pass(design, f, variant, t1_form)
     breakdown = ResistanceBreakdown(
-        R_r=r_r, R_s=r_s, R_c=r_c, R_d=r_d, R_total=r_r + r_s + r_c + r_d
+        R_r=p.R_r, R_s=p.R_s, R_c=p.R_c, R_d=p.R_d, R_total=p.R_r + p.R_s + p.R_c + p.R_d
     )
-    r_in = r_r * feed_taper(design, f) + r_s + r_c + r_d
-    return breakdown, der, r_in
+    return breakdown, _derived(design, f, p), p.r_in

@@ -139,9 +139,7 @@ def rect_resonator(
     frequency, resistance from the feed-inset analysis (surface-wave term
     from ``t1_form``), Q from the radiation quality factor."""
     f0 = design.f_design
-    r_res = rectpatch.input_resistance_rect(design, f0, variant, t1_form)
-    eew = rectpatch.eps_effective(design.substrate, design.L)
-    q = rectpatch.q_radiation(design.substrate, f0, eew)
+    r_res, q = rectpatch.resonator_terms_rect(design, f0, variant, t1_form)
     return ResonatorModel(f_res=f0, r_res=r_res, q_total=q)
 
 
@@ -175,13 +173,20 @@ def sweep(model: ResonatorModel, spec: SweepSpec) -> FrequencyResponse:
 def _parabolic_vertex(f: np.ndarray, y: np.ndarray, i: int) -> float:
     # Vertex of the parabola through samples i-1, i, i+1; falls back to the
     # sample frequency when the three points are degenerate.
-    y0, y1, y2 = y[i - 1], y[i], y[i + 1]
+    y0, y1, y2 = y[i - 1 : i + 2].tolist()
     denom = y0 - 2.0 * y1 + y2
     if denom <= 0.0:
         return float(f[i])
     shift = 0.5 * (y0 - y2) / denom
     step = float(f[i + 1] - f[i])
     return float(f[i]) + shift * step
+
+
+def _crossing(f: np.ndarray, rl: np.ndarray, below: int, above: int, thr: float) -> float:
+    # Threshold crossing between a sample at or below thr and its neighbour
+    # above it, by linear interpolation from the neighbour's side.
+    f_b, f_a, r_b, r_a = f.item(below), f.item(above), rl.item(below), rl.item(above)
+    return f_a + (thr - r_a) / (r_b - r_a) * (f_b - f_a)
 
 
 def extract_resonance(resp: FrequencyResponse) -> ResonanceReport:
@@ -193,8 +198,8 @@ def extract_resonance(resp: FrequencyResponse) -> ResonanceReport:
     boundary and bands truncated by it; a truncated band gives no loaded Q,
     since its width is the sweep window's, not the resonance's.
     """
-    f = resp.f_hz
-    rl = resp.rl_db
+    f = np.asarray(resp.f_hz)
+    rl = np.asarray(resp.rl_db)
     n = len(f)
     i_min = int(np.argmin(rl))
     notes: list[str] = []
@@ -211,25 +216,23 @@ def extract_resonance(resp: FrequencyResponse) -> ResonanceReport:
         notes.append("no-sample-below-threshold")
         bandwidth = 0.0
     else:
-        lo = i_min
-        while lo > 0 and rl[lo - 1] <= thr:
-            lo -= 1
-        hi = i_min
-        while hi < n - 1 and rl[hi + 1] <= thr:
-            hi += 1
+        # The band is the run of samples at or below the threshold around
+        # i_min; its edges sit next to the nearest samples that are not.
+        above = np.flatnonzero(~(rl <= thr))
+        k_lo = int(np.searchsorted(above, i_min, side="left"))
+        k_hi = int(np.searchsorted(above, i_min, side="right"))
+        lo = int(above[k_lo - 1]) + 1 if k_lo > 0 else 0
+        hi = int(above[k_hi]) - 1 if k_hi < len(above) else n - 1
         if lo == 0:
             f_lo = float(f[0])
             notes.append("band-truncated-at-sweep-start")
         else:
-            # crossing between samples lo-1 (above) and lo (below)
-            frac = (thr - rl[lo - 1]) / (rl[lo] - rl[lo - 1])
-            f_lo = float(f[lo - 1] + frac * (f[lo] - f[lo - 1]))
+            f_lo = _crossing(f, rl, lo, lo - 1, thr)
         if hi == n - 1:
             f_hi = float(f[-1])
             notes.append("band-truncated-at-sweep-stop")
         else:
-            frac = (thr - rl[hi + 1]) / (rl[hi] - rl[hi + 1])
-            f_hi = float(f[hi + 1] + frac * (f[hi] - f[hi + 1]))
+            f_hi = _crossing(f, rl, hi, hi + 1, thr)
         bandwidth = f_hi - f_lo
         if 0 < lo and hi < n - 1 and bandwidth > 0.0:
             q_loaded = f_res / bandwidth

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -7,6 +8,7 @@ from mmpatch.errors import ConfigError, DomainError, SingularFeedError, Synthesi
 from mmpatch.media import ETA0, MU0, SubstrateSpec, free_space_wavelength, wavenumber
 from mmpatch.rectpatch import (
     RECT_CALIBRATION_SCALE,
+    RECT_VARIANTS,
     RectPatchDesign,
     analyze_rect,
     derive_rect,
@@ -20,10 +22,12 @@ from mmpatch.rectpatch import (
     r_conductor_rect,
     r_dielectric_rect,
     r_radiation_rect,
+    resonator_terms_rect,
     strip_impedance,
     surface_wave_factor,
     synth_rect,
 )
+from mmpatch.response import rect_resonator
 
 F0 = 39e9
 
@@ -173,14 +177,14 @@ class TestStripImpedance:
 class TestEquivalentWidthAndLength:
     def test_parallel_plate_identity(self, design):
         # W_eq * Z0w * sqrt(eps_ew) == eta0 * h by construction
-        w_eq = equivalent_width(design, F0)
+        w_eq = equivalent_width(design)
         z0w = strip_impedance(design.substrate, design.W)
         eew = eps_effective(design.substrate, design.L)
         assert w_eq * z0w * math.sqrt(eew) == pytest.approx(
             ETA0 * design.substrate.h, rel=1e-12)
 
     def test_reference_value(self, design):
-        assert equivalent_width(design, F0) == pytest.approx(GOLD["W_eq"], rel=1e-12)
+        assert equivalent_width(design) == pytest.approx(GOLD["W_eq"], rel=1e-12)
 
     def test_equivalent_width_never_below_physical(self):
         # sweep oracle over W/h in [0.5, 10], eps_r in [2, 10]
@@ -191,10 +195,10 @@ class TestEquivalentWidthAndLength:
                 design = RectPatchDesign(L=W, W=W, feed_offset_a=0.0,
                                          substrate=SubstrateSpec(eps_r=eps_r, h=h),
                                          f_design=F0)
-                assert equivalent_width(design, F0) >= W
+                assert equivalent_width(design) >= W
 
     def test_effective_length_reference_and_bound(self, design):
-        l_ef = effective_length(design, F0)
+        l_ef = effective_length(design)
         assert l_ef == pytest.approx(GOLD["L_ef"], rel=1e-12)
         assert l_ef > design.L
 
@@ -261,7 +265,7 @@ class TestRadiationResistance:
 
     def test_literal_structure(self, design):
         z0w = strip_impedance(design.substrate, design.W)
-        l_ef = effective_length(design, F0)
+        l_ef = effective_length(design)
         lam0 = free_space_wavelength(F0)
         assert r_radiation_rect(design, F0, "eq8-literal") == pytest.approx(
             z0w * lam0 / (2.0 * math.pi * l_ef), rel=1e-14)
@@ -334,7 +338,7 @@ class TestAnalyze:
 
     def test_derived_record_reference_values(self, design):
         der = derive_rect(design, F0)
-        assert der.eps_eff == pytest.approx(GOLD["eps_ew"], rel=1e-12)
+        assert der.eps_ew == pytest.approx(GOLD["eps_ew"], rel=1e-12)
         assert der.lambda_d == pytest.approx(
             free_space_wavelength(F0) / math.sqrt(4.7), rel=1e-14)
 
@@ -359,3 +363,81 @@ class TestDesignValidation:
             RectPatchDesign(L=0.0, W=1e-3, feed_offset_a=0.0, substrate=sub, f_design=F0)
         with pytest.raises(DomainError):
             RectPatchDesign(L=1e-3, W=-1e-3, feed_offset_a=0.0, substrate=sub, f_design=F0)
+
+
+def _one_pass_grid():
+    # seeded laminates over eps_r 1-12 (eps_r = 1 carries no surface wave)
+    # and h/lambda0 0.01-0.08, both variants, both T1 forms, insets 0-0.3 L/2
+    rng = random.Random(20261018)
+    cases = []
+    for k in range(48):
+        eps_r = 1.0 if k % 12 < 4 else rng.uniform(1.0, 12.0)
+        f = rng.uniform(10.0, 60.0) * 1e9
+        h = rng.uniform(0.01, 0.08) * free_space_wavelength(f)
+        sub = SubstrateSpec(eps_r=eps_r, h=h, tan_delta=rng.choice([0.0, 1e-3, 2e-2]))
+        design = synth_rect(f, sub)
+        design = replace(design, feed_offset_a=rng.uniform(0.0, 0.3) * 0.5 * design.L)
+        cases.append((design, RECT_VARIANTS[k % 2], ("printed", "corrected")[(k // 2) % 2]))
+    return cases
+
+
+ONE_PASS_GRID = _one_pass_grid()
+
+
+class TestRectOnePass:
+    @pytest.mark.parametrize("design,variant,t1_form", ONE_PASS_GRID)
+    def test_breakdown_and_derived_equal_public_helpers(self, design, variant, t1_form):
+        sub, f = design.substrate, design.f_design
+        breakdown, der, r_in = analyze_rect(design, f, variant, t1_form)
+        k1, t1 = surface_wave_factor(sub, f, t1_form)
+        eew = eps_effective(sub, design.L)
+        assert breakdown.R_r == r_radiation_rect(design, f, variant)
+        assert breakdown.R_s == t1 * breakdown.R_r
+        assert breakdown.R_c == r_conductor_rect(design, f)
+        assert breakdown.R_d == r_dielectric_rect(design, f)
+        assert r_in == (breakdown.R_r * feed_taper(design, f)
+                        + breakdown.R_s + breakdown.R_c + breakdown.R_d)
+        assert der == derive_rect(design, f, t1_form)
+        assert (der.eps_ew, der.Q_r, der.K1, der.T1) == (eew, q_radiation(sub, f, eew), k1, t1)
+        assert der.Z0w == strip_impedance(sub, design.W)
+        assert der.Z0a == strip_impedance(replace(sub, eps_r=1.0), design.W)
+        assert der.W_eq == equivalent_width(design)
+        assert der.L_ef == effective_length(design)
+        assert der.delta_L == edge_extension(design)
+        if sub.eps_r == 1.0:
+            assert (der.K1, der.T1, breakdown.R_s) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("design,variant,t1_form", ONE_PASS_GRID)
+    def test_readers_agree_exactly(self, design, variant, t1_form):
+        f = design.f_design
+        r_in, q_r = resonator_terms_rect(design, f, variant, t1_form)
+        assert input_resistance_rect(design, f, variant, t1_form) == analyze_rect(
+            design, f, variant, t1_form)[2] == r_in
+        model = rect_resonator(design, variant, t1_form)
+        assert (model.r_res, model.q_total) == (r_in, q_r)
+
+    def test_bad_variant_and_t1_form_rejected(self, design):
+        for reader in (analyze_rect, input_resistance_rect, resonator_terms_rect):
+            with pytest.raises(ConfigError):
+                reader(design, F0, "nonsense-variant")
+            with pytest.raises(ConfigError):
+                reader(design, F0, "calibrated", "other")
+        with pytest.raises(ConfigError):
+            rect_resonator(design, "nonsense-variant")
+        with pytest.raises(ConfigError):
+            rect_resonator(design, "calibrated", "other")
+        with pytest.raises(ConfigError):
+            derive_rect(design, F0, "other")
+
+    def test_singular_inset_raises_but_derived_terms_do_not(self, sub):
+        lam0 = free_space_wavelength(F0)
+        long_patch = RectPatchDesign(L=10.0 * lam0, W=0.98e-3, feed_offset_a=0.0,
+                                     substrate=sub, f_design=F0)
+        d = replace(long_patch, feed_offset_a=lam0 / 2.0 - edge_extension(long_patch))
+        for reader in (analyze_rect, input_resistance_rect, resonator_terms_rect):
+            with pytest.raises(SingularFeedError):
+                reader(d, F0, "calibrated")
+        with pytest.raises(SingularFeedError):
+            rect_resonator(d, "calibrated")
+        # the derived quantities do not depend on the feed
+        assert derive_rect(d, F0) == derive_rect(long_patch, F0)

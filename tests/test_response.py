@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmpatch.circpatch import q_total_circ, synth_circ
 from mmpatch.errors import DomainError
 from mmpatch.media import SubstrateSpec
 from mmpatch.rectpatch import RectPatchDesign
 from mmpatch.response import (
+    BANDWIDTH_CRITERION_DB,
     CSV_HEADER,
     FrequencyResponse,
     ResonatorModel,
@@ -187,6 +190,110 @@ class TestExtractResonance:
         report = extract_resonance(resp)
         assert "rl-min-at-sweep-edge" in report.notes
         assert report.f_res == 37e9
+
+
+def _rl_response(rl) -> FrequencyResponse:
+    rl = np.asarray(rl, dtype=float)
+    zeros = np.zeros(len(rl))
+    return FrequencyResponse(
+        f_hz=np.linspace(1e9, 2e9, len(rl)), r_in_ohm=zeros, x_in_ohm=zeros,
+        gamma_mag=zeros, rl_db=rl, vswr=zeros + 1.0)
+
+
+def _walk_band(f, rl):
+    """Reference band search: walk sample by sample out from the minimum.
+    Returns (bandwidth, band notes, whether a loaded Q is defined)."""
+    thr = BANDWIDTH_CRITERION_DB
+    n = len(f)
+    i_min = int(np.argmin(rl))
+    if rl[i_min] > thr:
+        return 0.0, ("no-sample-below-threshold",), False
+    lo = i_min
+    while lo > 0 and rl[lo - 1] <= thr:
+        lo -= 1
+    hi = i_min
+    while hi < n - 1 and rl[hi + 1] <= thr:
+        hi += 1
+    notes = []
+    if lo == 0:
+        f_lo = float(f[0])
+        notes.append("band-truncated-at-sweep-start")
+    else:
+        frac = (thr - rl[lo - 1]) / (rl[lo] - rl[lo - 1])
+        f_lo = float(f[lo - 1] + frac * (f[lo] - f[lo - 1]))
+    if hi == n - 1:
+        f_hi = float(f[-1])
+        notes.append("band-truncated-at-sweep-stop")
+    else:
+        frac = (thr - rl[hi + 1]) / (rl[hi] - rl[hi + 1])
+        f_hi = float(f[hi + 1] + frac * (f[hi] - f[hi + 1]))
+    bandwidth = f_hi - f_lo
+    return bandwidth, tuple(notes), 0 < lo and hi < n - 1 and bandwidth > 0.0
+
+
+class TestBandEdges:
+    STEP = 1e9 / 8  # grid step of a 9-sample _rl_response
+
+    def test_uses_the_run_holding_the_minimum(self):
+        # two disjoint runs below -10 dB; the deeper one is the second
+        report = extract_resonance(_rl_response([-5, -12, -15, -5, -5, -12, -30, -11, -5]))
+        f = np.linspace(1e9, 2e9, 9)
+        f_lo = f[4] + 5.0 / 7.0 * self.STEP   # -5 -> -12 between samples 4 and 5
+        f_hi = f[8] - 5.0 / 6.0 * self.STEP   # -11 -> -5 between samples 7 and 8
+        assert report.bandwidth_hz == pytest.approx(f_hi - f_lo, rel=1e-12)
+        assert report.notes == ()
+        assert report.q_loaded == report.f_res / report.bandwidth_hz
+
+    @pytest.mark.parametrize("rl,notes", [
+        ([-12, -20, -15, -5, -3], ("band-truncated-at-sweep-start",)),
+        ([-3, -5, -15, -20, -12], ("band-truncated-at-sweep-stop",)),
+        ([-12, -20, -15], ("band-truncated-at-sweep-start", "band-truncated-at-sweep-stop")),
+    ])
+    def test_truncated_bands(self, rl, notes):
+        report = extract_resonance(_rl_response(rl))
+        assert report.notes == notes
+        assert report.q_loaded is None
+        assert report.bandwidth_hz == _walk_band(np.linspace(1e9, 2e9, len(rl)), rl)[0]
+
+    def test_one_sample_band(self):
+        report = extract_resonance(_rl_response([-5, -5, -11, -5, -5]))
+        step = 1e9 / 4
+        assert report.bandwidth_hz == pytest.approx(2 * (1.0 - 5.0 / 6.0) * step, rel=1e-12)
+        assert report.notes == ()
+        assert type(report.q_loaded) is float
+
+    def test_minimum_at_sweep_edge(self):
+        report = extract_resonance(_rl_response([-20, -12, -5, -3]))
+        assert report.notes == ("rl-min-at-sweep-edge", "band-truncated-at-sweep-start")
+        assert report.f_res == 1e9
+        assert report.q_loaded is None
+
+    def test_no_sample_below_threshold(self):
+        report = extract_resonance(_rl_response([-5, -9, -6]))
+        assert report.notes == ("no-sample-below-threshold",)
+        assert report.bandwidth_hz == 0.0
+        assert report.q_loaded is None
+
+    def test_report_fields_are_python_floats(self, model):
+        report = extract_resonance(sweep(model, SweepSpec(37e9, 41e9, 401)))
+        assert report.q_loaded is not None
+        for value in (report.f_res, report.q_loaded, report.rl_min_db,
+                      report.vswr_at_res, report.bandwidth_hz):
+            assert type(value) is float
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(
+        st.sampled_from([-30.0, -12.0, -10.0, -9.5, -3.0, math.nan])
+        | st.floats(-40.0, 5.0),
+        min_size=2, max_size=40))
+    def test_edges_match_sample_walk(self, rl):
+        rl = np.asarray(rl)
+        f = np.linspace(1e9, 2e9, len(rl))
+        report = extract_resonance(_rl_response(rl))
+        bandwidth, notes, has_q = _walk_band(f, rl)
+        assert float.hex(report.bandwidth_hz) == float.hex(bandwidth)
+        assert tuple(n for n in report.notes if n != "rl-min-at-sweep-edge") == notes
+        assert (report.q_loaded is not None) == has_q
 
 
 class TestResonatorBuilders:
