@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import circpatch, rectpatch, response
 from .errors import ConfigError, ConvergenceError, DomainError
 from .media import SubstrateSpec, thickness_regime
-from .tables import csv_text, json_text
+from .tables import Records, csv_text, json_text
 
 _KNOWN_KEYS = {
     "geometry", "f_ghz", "variant", "target_r_ohm",
@@ -34,9 +34,9 @@ _KNOWN_KEYS = {
     "output.format", "output.path",
 }
 
-_CIRC_VARIANTS = ("fringing", "no-fringing")
-
-_PATTERN_CSV_HEADER = "theta_deg,e_plane_db,h_plane_db"
+# geometry -> (model variants, default variant)
+_VARIANTS = {"rect": (rectpatch.RECT_VARIANTS, "calibrated"),
+             "circ": (("fringing", "no-fringing"), "fringing")}
 
 
 @dataclass
@@ -85,9 +85,13 @@ def load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _as_float(values: dict[str, str], key: str) -> float | None:
+def _number(values: dict[str, str], key: str, flag: float | None = None,
+            default: float | None = None) -> float | None:
+    # the flag's value if given, else the config value of key, else default
+    if flag is not None:
+        return flag
     if key not in values:
-        return None
+        return default
     try:
         return float(values[key])
     except ValueError as exc:
@@ -140,87 +144,55 @@ def build_job(args: argparse.Namespace) -> JobConfig:
     if geometry not in ("rect", "circ"):
         raise ConfigError(f"geometry must be 'rect' or 'circ', got {geometry!r}")
 
-    f_ghz = args.f_ghz if args.f_ghz is not None else _as_float(values, "f_ghz")
+    f_ghz = _number(values, "f_ghz", args.f_ghz)
     if f_ghz is None:
         raise ConfigError("design frequency missing: set f_ghz in config or --f-ghz")
 
-    eps_r = args.eps_r if args.eps_r is not None else _as_float(values, "substrate.eps_r")
-    h_mm = args.h_mm if args.h_mm is not None else _as_float(values, "substrate.h_mm")
+    eps_r = _number(values, "substrate.eps_r", args.eps_r)
+    h_mm = _number(values, "substrate.h_mm", args.h_mm)
     if eps_r is None or h_mm is None:
         raise ConfigError("substrate missing: set substrate.eps_r and substrate.h_mm")
-    tan_delta = args.tan_delta if args.tan_delta is not None else _as_float(values, "substrate.tan_delta")
-    sigma = args.sigma if args.sigma is not None else _as_float(values, "substrate.sigma")
     substrate = SubstrateSpec(
-        eps_r=eps_r,
-        h=h_mm * 1e-3,
-        tan_delta=tan_delta if tan_delta is not None else 1e-3,
-        sigma=sigma if sigma is not None else 5.8e7,
-    )
+        eps_r=eps_r, h=h_mm * 1e-3,
+        tan_delta=_number(values, "substrate.tan_delta", args.tan_delta, 1e-3),
+        sigma=_number(values, "substrate.sigma", args.sigma, 5.8e7))
 
     variant = args.variant or values.get("variant")
-    if geometry == "rect":
-        variant = variant or "calibrated"
-        if variant not in rectpatch.RECT_VARIANTS:
-            raise ConfigError(
-                f"rect variant must be one of {rectpatch.RECT_VARIANTS}, got {variant!r}")
-    else:
-        if "circ.fringing" in values and variant is None:
-            variant = "fringing" if _as_bool(values["circ.fringing"], "circ.fringing") else "no-fringing"
-        variant = variant or "fringing"
-        if variant not in _CIRC_VARIANTS:
-            raise ConfigError(
-                f"circ variant must be one of {_CIRC_VARIANTS}, got {variant!r}")
+    if geometry == "circ" and variant is None and "circ.fringing" in values:
+        variant = "fringing" if _as_bool(values["circ.fringing"], "circ.fringing") else "no-fringing"
+    variants, default_variant = _VARIANTS[geometry]
+    variant = variant or default_variant
+    if variant not in variants:
+        raise ConfigError(f"{geometry} variant must be one of {variants}, got {variant!r}")
 
     t1_form = args.t1_form or values.get("circ.t1_form") or "printed"
     if t1_form not in ("printed", "corrected"):
         raise ConfigError(f"t1 form must be 'printed' or 'corrected', got {t1_form!r}")
 
-    target_r = _as_float(values, "target_r_ohm")
-    zref = args.zref if args.zref is not None else _as_float(values, "sweep.zref")
-    if zref is None:
-        zref = 50.0
+    target_r = _number(values, "target_r_ohm", default=50.0)
+    zref = _number(values, "sweep.zref", args.zref, 50.0)
 
+    f_start = _number(values, "sweep.f_start_ghz", default=0.95 * f_ghz)
+    f_stop = _number(values, "sweep.f_stop_ghz", default=1.05 * f_ghz)
+    points = _number(values, "sweep.points", default=401)
     sweep_spec = None
-    f_start = _as_float(values, "sweep.f_start_ghz")
-    f_stop = _as_float(values, "sweep.f_stop_ghz")
-    points = _as_float(values, "sweep.points")
     if args.command == "sweep":
-        f_start = f_start if f_start is not None else 0.95 * f_ghz
-        f_stop = f_stop if f_stop is not None else 1.05 * f_ghz
-        points = int(points) if points is not None else 401
-        sweep_spec = response.SweepSpec(
-            f_start=f_start * 1e9,
-            f_stop=f_stop * 1e9,
-            points=points,
-            reference_impedance=zref,
-        )
+        sweep_spec = response.SweepSpec(f_start * 1e9, f_stop * 1e9, int(points), zref)
 
-    mm = lambda key: (None if _as_float(values, key) is None else _as_float(values, key) * 1e-3)
-    step_deg = _as_float(values, "pattern.step_deg")
+    mm = lambda key: (None if key not in values else _number(values, key) * 1e-3)
+    step_deg = _number(values, "pattern.step_deg", default=1.0)
 
     output_format = args.format or values.get("output.format") or "json"
     if output_format not in ("csv", "json"):
         raise ConfigError(f"output format must be csv or json, got {output_format!r}")
 
     return JobConfig(
-        command=args.command,
-        geometry=geometry,
-        f_design=f_ghz * 1e9,
-        substrate=substrate,
-        variant=variant,
-        t1_form=t1_form,
-        target_r=target_r if target_r is not None else 50.0,
-        rect_l=mm("patch.l_mm"),
-        rect_w=mm("patch.w_mm"),
-        rect_feed=mm("patch.feed_mm"),
-        circ_a=mm("patch.a_mm"),
-        circ_rho0=mm("patch.rho0_mm"),
-        zref=zref,
-        sweep=sweep_spec,
-        pattern_step_deg=step_deg if step_deg is not None else 1.0,
-        output_format=output_format,
-        output_path=args.out or values.get("output.path"),
-    )
+        command=args.command, geometry=geometry, f_design=f_ghz * 1e9,
+        substrate=substrate, variant=variant, t1_form=t1_form, target_r=target_r,
+        rect_l=mm("patch.l_mm"), rect_w=mm("patch.w_mm"), rect_feed=mm("patch.feed_mm"),
+        circ_a=mm("patch.a_mm"), circ_rho0=mm("patch.rho0_mm"), zref=zref,
+        sweep=sweep_spec, pattern_step_deg=step_deg, output_format=output_format,
+        output_path=args.out or values.get("output.path"))
 
 
 def _settings_dict(job: JobConfig) -> dict:
@@ -251,18 +223,13 @@ def _settings_dict(job: JobConfig) -> dict:
 
 def _rect_design(job: JobConfig) -> rectpatch.RectPatchDesign:
     if job.rect_l is not None and job.rect_w is not None:
-        return rectpatch.RectPatchDesign(
-            L=job.rect_l, W=job.rect_w,
-            feed_offset_a=job.rect_feed if job.rect_feed is not None else 0.0,
-            substrate=job.substrate, f_design=job.f_design,
-        )
-    design = rectpatch.synth_rect(job.f_design, job.substrate)
-    if job.rect_feed is not None:
-        design = rectpatch.RectPatchDesign(
-            L=design.L, W=design.W, feed_offset_a=job.rect_feed,
-            substrate=job.substrate, f_design=job.f_design,
-        )
-    return design
+        size = job.rect_l, job.rect_w
+    else:
+        synth = rectpatch.synth_rect(job.f_design, job.substrate)
+        size = synth.L, synth.W
+    return rectpatch.RectPatchDesign(
+        *size, feed_offset_a=job.rect_feed if job.rect_feed is not None else 0.0,
+        substrate=job.substrate, f_design=job.f_design)
 
 
 def _circ_design(job: JobConfig) -> circpatch.CircPatchDesign:
@@ -353,15 +320,12 @@ def cmd_analyze(job: JobConfig) -> dict:
     return report
 
 
-def _resonator_for(job: JobConfig):
-    if job.geometry == "rect":
-        return response.rect_resonator(_rect_design(job), job.variant, job.t1_form)
-    return response.circ_resonator(_circ_design(job), job.t1_form)
-
-
 def cmd_sweep(job: JobConfig) -> tuple[dict, response.FrequencyResponse]:
     assert job.sweep is not None
-    model = _resonator_for(job)
+    if job.geometry == "rect":
+        model = response.rect_resonator(_rect_design(job), job.variant, job.t1_form)
+    else:
+        model = response.circ_resonator(_circ_design(job), job.t1_form)
     resp = response.sweep(model, job.sweep)
     report = response.extract_resonance(resp)
     summary = {
@@ -381,46 +345,25 @@ def cmd_sweep(job: JobConfig) -> tuple[dict, response.FrequencyResponse]:
     return summary, resp
 
 
-def cmd_pattern(job: JobConfig) -> tuple[dict, list[tuple[float, float, float]]]:
+def cmd_pattern(job: JobConfig) -> dict:
     if job.geometry != "circ":
         raise ConfigError("pattern cuts are only available for the circular geometry")
     design = _circ_design(job)
     step = math.radians(job.pattern_step_deg)
     e_cut = circpatch.pattern_cut(design, job.f_design, "E", step)
     h_cut = circpatch.pattern_cut(design, job.f_design, "H", step)
-    rows = [
-        (math.degrees(th), max(e_db, response.RL_CLAMP_DB), max(h_db, response.RL_CLAMP_DB))
-        for (th, e_db), (_, h_db) in zip(e_cut, h_cut)
-    ]
-    summary = {
+    clamp = response.RL_CLAMP_DB
+    samples = Records(("theta_deg", "e_plane_db", "h_plane_db"), (
+        [math.degrees(th) for th, _ in e_cut],
+        [max(db, clamp) for _, db in e_cut],
+        [max(db, clamp) for _, db in h_cut],
+    ))
+    return {
         "command": "pattern",
         "settings": _settings_dict(job),
         "design": {"a_mm": design.a * 1e3, "a_eff_mm": design.a_eff * 1e3},
-        "samples": [
-            {"theta_deg": t, "e_plane_db": e, "h_plane_db": h} for t, e, h in rows
-        ],
+        "samples": samples,
     }
-    return summary, rows
-
-
-def _json_report(obj: dict) -> str:
-    return json_text(obj) + "\n"
-
-
-def _kv_csv(obj: dict) -> str:
-    lines = ["key,value"]
-
-    def walk(prefix: str, value) -> None:
-        if isinstance(value, dict):
-            for k in sorted(value):
-                walk(f"{prefix}.{k}" if prefix else str(k), value[k])
-        elif isinstance(value, (list, tuple)):
-            lines.append(f"{prefix},{';'.join(str(v) for v in value)}")
-        else:
-            lines.append(f"{prefix},{format(value, '.10g') if isinstance(value, float) else value}")
-
-    walk("", obj)
-    return "\n".join(lines) + "\n"
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -432,27 +375,57 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write_json(report: dict, path: str | None) -> None:
+    _emit(json_text(report) + "\n", path)
+
+
+def _write_kv_csv(report: dict, path: str | None) -> None:
+    lines = ["key,value"]
+
+    def walk(prefix: str, value) -> None:
+        if isinstance(value, dict):
+            for k in sorted(value):
+                walk(f"{prefix}.{k}" if prefix else str(k), value[k])
+        elif isinstance(value, (list, tuple)):
+            lines.append(f"{prefix},{';'.join(str(v) for v in value)}")
+        else:
+            lines.append(f"{prefix},{format(value, '.10g') if isinstance(value, float) else value}")
+
+    walk("", report)
+    _emit("\n".join(lines) + "\n", path)
+
+
+def _write_sweep_json(result: tuple[dict, response.FrequencyResponse], path: str | None) -> None:
+    summary, resp = result
+    _write_json({**summary, "response": resp.to_json_dict()}, path)
+
+
+def _write_sweep_csv(result: tuple[dict, response.FrequencyResponse], path: str | None) -> None:
+    # the samples go to the output, the summary to stdout after them
+    summary, resp = result
+    buf = io.StringIO()
+    resp.write_csv(buf)
+    _emit(buf.getvalue(), path)
+    _write_json(summary, None)
+
+
+def _write_pattern_csv(report: dict, path: str | None) -> None:
+    _emit(csv_text(report["samples"]), path)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         job = build_job(_PARSER.parse_args(argv))
-        as_json = job.output_format == "json"
-        if job.command == "sweep":
-            summary, resp = cmd_sweep(job)
-            if as_json:
-                _emit(_json_report({**summary, "response": resp.to_json_dict()}),
-                      job.output_path)
-            else:
-                buf = io.StringIO()
-                resp.write_csv(buf)
-                _emit(buf.getvalue(), job.output_path)
-                _emit(_json_report(summary), None)
-        elif job.command == "pattern":
-            summary, rows = cmd_pattern(job)
-            _emit(_json_report(summary) if as_json else csv_text(_PATTERN_CSV_HEADER, rows),
-                  job.output_path)
-        else:
-            report = cmd_design(job) if job.command == "design" else cmd_analyze(job)
-            _emit(_json_report(report) if as_json else _kv_csv(report), job.output_path)
+        # command -> (compute, JSON writer, CSV writer); the names resolve
+        # per call, so a wrapped or replaced cmd_* function is the one run
+        compute, write_json, write_csv = {
+            "design": (cmd_design, _write_json, _write_kv_csv),
+            "analyze": (cmd_analyze, _write_json, _write_kv_csv),
+            "sweep": (cmd_sweep, _write_sweep_json, _write_sweep_csv),
+            "pattern": (cmd_pattern, _write_json, _write_pattern_csv),
+        }[job.command]
+        write = write_json if job.output_format == "json" else write_csv
+        write(compute(job), job.output_path)
         return 0
     except ConfigError as exc:
         print(f"mmpatch: config error: {exc}", file=sys.stderr)

@@ -288,6 +288,9 @@ def _rect_pass(design: RectPatchDesign, f: float, variant: str, t1_form: str) ->
     r_s = t1 * r_r
     # only the radiation term is tapered by the feed inset
     r_in = r_r * _taper(f, design.feed_offset_a, d_l) + r_s + r_c + r_d
+    if not 0.0 < r_in < math.inf:
+        # a negative feed taper (thick low-permittivity laminates) or an overflow
+        raise DomainError(f"input resistance must be finite and > 0, got {r_in} ohm")
     return _RectPass(*geometry, k1, t1, q_r, r_r, r_s, r_c, r_d, r_in)
 
 

@@ -4,23 +4,25 @@ return loss, VSWR, sweeps, and resonance/bandwidth extraction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import IO
 
 import numpy as np
 
 from . import circpatch, rectpatch
 from .errors import DomainError
-from .tables import csv_text
+from .tables import Records, csv_text
 
 RL_CLAMP_DB = -100.0          # keeps CSV/JSON finite on a perfect match
 BANDWIDTH_CRITERION_DB = -10.0
 
 CSV_HEADER = "f_hz,r_in_ohm,x_in_ohm,gamma_mag,rl_db,vswr"
 _COLUMNS = tuple(CSV_HEADER.split(","))
+
+
+def _positive(x: float) -> bool:
+    return 0.0 < x < math.inf
 
 
 @dataclass(frozen=True)
@@ -31,14 +33,14 @@ class SweepSpec:
     reference_impedance: float = 50.0
 
     def __post_init__(self) -> None:
-        if not self.f_start > 0.0:
-            raise DomainError(f"sweep start must be > 0, got {self.f_start}")
-        if not self.f_start < self.f_stop:
-            raise DomainError("sweep requires f_start < f_stop")
+        if not _positive(self.f_start):
+            raise DomainError(f"sweep start must be finite and > 0, got {self.f_start}")
+        if not self.f_start < self.f_stop < math.inf:
+            raise DomainError("sweep requires f_start < f_stop, both finite")
         if self.points < 2:
             raise DomainError(f"sweep needs at least 2 points, got {self.points}")
-        if not self.reference_impedance > 0.0:
-            raise DomainError("reference impedance must be > 0")
+        if not _positive(self.reference_impedance):
+            raise DomainError("reference impedance must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -54,12 +56,12 @@ class ResonatorModel:
     q_total: float
 
     def __post_init__(self) -> None:
-        if not self.f_res > 0.0:
-            raise DomainError("resonant frequency must be > 0")
-        if not self.r_res > 0.0:
-            raise DomainError("resonant resistance must be > 0")
-        if not self.q_total > 0.0:
-            raise DomainError("quality factor must be > 0")
+        if not _positive(self.f_res):
+            raise DomainError("resonant frequency must be finite and > 0")
+        if not _positive(self.r_res):
+            raise DomainError("resonant resistance must be finite and > 0")
+        if not _positive(self.q_total):
+            raise DomainError("quality factor must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -74,21 +76,16 @@ class FrequencyResponse:
     vswr: np.ndarray
     reference_impedance: float = 50.0
 
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, name) for name in _COLUMNS)
+    def _records(self) -> Records:
+        return Records(_COLUMNS, tuple(getattr(self, name) for name in _COLUMNS))
 
     def write_csv(self, stream: IO[str]) -> None:
-        stream.write(csv_text(CSV_HEADER, np.column_stack(self._columns())))
+        stream.write(csv_text(self._records()))
 
     def to_json_dict(self) -> dict:
-        columns = [np.asarray(c, dtype=float).tolist() for c in self._columns()]
-        return {
-            "reference_impedance": self.reference_impedance,
-            "samples": list(map(dict, map(zip, repeat(_COLUMNS), zip(*columns)))),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """The reference impedance and the samples as column :class:`Records`,
+        for :func:`mmpatch.tables.json_text`."""
+        return {"reference_impedance": self.reference_impedance, "samples": self._records()}
 
 
 @dataclass(frozen=True)

@@ -68,5 +68,20 @@ def pattern_power(design, f: float, E0: float = 1.0,
     return trapezoid_2d(integrand, theta, phi)
 
 
+def expand_records(obj):
+    """``obj`` with every ``mmpatch.tables.Records`` written out as the list
+    of row dicts it stands for, for rendering with the standard library."""
+    from mmpatch.tables import Records
+
+    if isinstance(obj, Records):
+        rows = zip(*(map(float, column) for column in obj.columns))
+        return [dict(zip(obj.keys, row)) for row in rows]
+    if isinstance(obj, dict):
+        return {k: expand_records(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [expand_records(v) for v in obj]
+    return obj
+
+
 def central_difference(f, x: float, step: float = 1e-6) -> float:
     return (f(x + step) - f(x - step)) / (2.0 * step)

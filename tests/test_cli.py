@@ -2,6 +2,7 @@ import json
 import os
 
 import pytest
+from oracles import expand_records
 
 from mmpatch import cli, response
 from mmpatch.cli import main
@@ -211,6 +212,21 @@ class TestExitCodeMapping:
     def test_bad_subcommand_exits_1(self):
         assert main(["frobnicate"]) == 1
 
+    @pytest.mark.parametrize("command", ["design", "analyze", "sweep"])
+    def test_negative_rect_input_resistance_exits_2(self, tmp_path, capsys, command):
+        # air at h = 0.12 lambda0 (0.922 mm at 39 GHz) with the synthesized
+        # patch fed 0.1 L in: the feed taper, and with it r_in, is negative
+        from mmpatch.media import SubstrateSpec
+        from mmpatch.rectpatch import synth_rect
+
+        h_mm = 0.12 * 299792458.0 / 39e9 * 1e3
+        L = synth_rect(39e9, SubstrateSpec(eps_r=1.0, h=h_mm * 1e-3)).L
+        config = tmp_path / "air.cfg"
+        config.write_text(f"geometry = rect\nf_ghz = 39\nsubstrate.eps_r = 1\n"
+                          f"substrate.h_mm = {h_mm!r}\npatch.feed_mm = {0.1 * L * 1e3!r}\n")
+        assert main([command, "--config", str(config)]) == 2
+        assert "input resistance must be finite and > 0" in capsys.readouterr().err
+
     def test_error_classes_map_to_documented_codes(self):
         # the mapping itself, independent of how hard each error is to
         # provoke through a config file
@@ -298,9 +314,10 @@ def _expected_outputs(argv: list[str]) -> tuple[str, str]:
             "reference_impedance": resp.reference_impedance, "samples": samples}}
         return _stdlib_json(payload), ""
     if job.command == "pattern":
-        summary, rows = cli.cmd_pattern(job)
+        summary = expand_records(cli.cmd_pattern(job))
         if as_json:
             return _stdlib_json(summary), ""
+        rows = [(s["theta_deg"], s["e_plane_db"], s["h_plane_db"]) for s in summary["samples"]]
         return _per_row_csv("theta_deg,e_plane_db,h_plane_db", rows), ""
     report = cli.cmd_design(job) if job.command == "design" else cli.cmd_analyze(job)
     return (_stdlib_json(report) if as_json else _key_value_csv(report)), ""

@@ -441,3 +441,21 @@ class TestRectOnePass:
             rect_resonator(d, "calibrated")
         # the derived quantities do not depend on the feed
         assert derive_rect(d, F0) == derive_rect(long_patch, F0)
+
+    def test_negative_feed_taper_raises_from_every_reader(self):
+        # synthesized air patch at h = 0.12 lambda0 fed 0.1 L in: the taper is
+        # negative, and r_in came out negative without an error
+        lam0 = free_space_wavelength(F0)
+        air = SubstrateSpec(eps_r=1.0, h=0.12 * lam0, tan_delta=1e-3, sigma=5.8e7)
+        edge_fed = synth_rect(F0, air)
+        d = replace(edge_fed, feed_offset_a=0.1 * edge_fed.L)
+        assert feed_taper(d, F0) < 0.0
+        for variant in RECT_VARIANTS:
+            for reader in (analyze_rect, input_resistance_rect, resonator_terms_rect):
+                with pytest.raises(DomainError, match="input resistance"):
+                    reader(d, F0, variant)
+            with pytest.raises(DomainError):
+                rect_resonator(d, variant)
+        assert input_resistance_rect(edge_fed, F0, "calibrated") > 0.0
+        # the derived quantities do not depend on the feed
+        assert derive_rect(d, F0) == derive_rect(edge_fed, F0)

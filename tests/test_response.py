@@ -26,6 +26,7 @@ from mmpatch.response import (
     sweep,
     vswr,
 )
+from mmpatch.tables import json_text
 
 F0 = 39e9
 
@@ -61,6 +62,14 @@ class TestImpedanceModel:
     def test_rejects_nonpositive_frequency(self, model):
         with pytest.raises(DomainError):
             input_impedance_vs_freq(model, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("field", ["f_res", "r_res", "q_total"])
+    def test_model_rejects_non_finite_and_non_positive(self, field, bad):
+        # an infinite resistance or Q used to give an all-NaN sweep
+        terms = {"f_res": F0, "r_res": 50.0, "q_total": 40.0, field: bad}
+        with pytest.raises(DomainError):
+            ResonatorModel(**terms)
 
 
 class TestReflectionQuantities:
@@ -122,7 +131,7 @@ class TestSweep:
 
     def test_json_payload(self, model):
         resp = sweep(model, SweepSpec(37e9, 41e9, 3))
-        payload = json.loads(resp.to_json())
+        payload = json.loads(json_text(resp.to_json_dict()))
         assert payload["reference_impedance"] == 50.0
         assert len(payload["samples"]) == 3
         assert set(payload["samples"][0]) == {
@@ -133,6 +142,14 @@ class TestSweep:
             SweepSpec(41e9, 37e9, 11)
         with pytest.raises(DomainError):
             SweepSpec(37e9, 41e9, 1)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_spec_rejects_non_finite_and_non_positive(self, bad):
+        for args in ((bad, 41e9), (37e9, bad)):
+            with pytest.raises(DomainError):
+                SweepSpec(*args, 11)
+        with pytest.raises(DomainError):
+            SweepSpec(37e9, 41e9, 11, reference_impedance=bad)
 
 
 class TestExtractResonance:

@@ -1,4 +1,5 @@
-"""The export writers render exactly what the standard library renders."""
+"""The export writers render exactly what the standard library renders, for
+plain payloads and for column ``Records`` written out as row dicts."""
 
 import json
 import math
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import expand_records
 
-from mmpatch.tables import csv_text, json_text
+from mmpatch.tables import Records, csv_text, json_text
 
 EDGE_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -2.5e-310,
                2.2250738585072014e-308, 1e22, -1e22, 1e16, 1e-5, 0.1, 123456789.123456789]
@@ -16,6 +18,10 @@ EDGE_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -2.5e-310,
 
 def stdlib_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def expanded_json(obj) -> str:
+    return stdlib_json(expand_records(obj))
 
 
 def per_row_csv(header: str, rows) -> str:
@@ -83,12 +89,81 @@ def test_json_text_keeps_allow_nan_tokens():
                            min_size=0, max_size=6).map(lambda rows: (width, rows))))
 def test_csv_text_equals_per_row_format(case):
     width, rows = case
-    header = ",".join(f"c{i}" for i in range(width))
+    names = tuple(f"c{i}" for i in range(width))
     table = np.array(rows, dtype=float).reshape(len(rows), width)
-    assert csv_text(header, table) == per_row_csv(header, table)
+    assert csv_text(Records(names, tuple(table.T))) == per_row_csv(",".join(names), table)
 
 
 def test_csv_text_edge_values():
     table = np.array(EDGE_FLOATS + [-1.0]).reshape(-1, 3)
-    assert csv_text("a,b,c", table) == per_row_csv("a,b,c", table)
-    assert csv_text("a,b,c", table.tolist()) == per_row_csv("a,b,c", table)
+    expected = per_row_csv("b,a,c", table)
+    assert csv_text(Records(("b", "a", "c"), tuple(table.T))) == expected
+    assert csv_text(Records(("b", "a", "c"), tuple(table.T.tolist()))) == expected
+
+
+placeholders = st.sampled_from(["\0records0\0", "\0records1\0", "\0table0\0"])
+record_keys = keys | placeholders
+
+
+@st.composite
+def column_records(draw):
+    # 0, 1, a few or many rows; many rows repeat a short drawn pattern
+    names = draw(st.lists(record_keys, min_size=1, max_size=4, unique=True))
+    n = draw(st.sampled_from([0, 1, 2, 5, 100]))
+    columns = [np.resize(np.array(draw(st.lists(floats, min_size=1, max_size=5))), n)
+               for _ in names]
+    if draw(st.booleans()):
+        columns = [c.tolist() for c in columns]
+    return Records(tuple(names), tuple(columns))
+
+
+column_payloads = st.recursive(
+    leaves | placeholders | column_records(),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(record_keys, children, max_size=4)
+                      | st.tuples(children, children)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_payloads)
+def test_json_text_of_records_equals_stdlib_of_row_dicts(obj):
+    assert json_text(obj) == expanded_json(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(column_records())
+def test_csv_text_of_records_equals_per_row_format(table):
+    rows = zip(*(np.asarray(c, dtype=float) for c in table.columns))
+    assert csv_text(table) == per_row_csv(",".join(table.keys), rows)
+
+
+@pytest.mark.parametrize("obj", [
+    Records(("only",), ([1.5, -0.0],)),
+    Records(("b", "a"), ([], [])),
+    {"samples": Records(("z", "\"q\"", "é\n", "%d"), ([1.0], [2.0], [math.nan], [1e22]))},
+    {"samples": Records(("v",), (EDGE_FLOATS,)), "n": 3},
+    [Records(("x",), ([1.0],)), [Records(("y",), ([math.inf],)), "s"], {"z": Records(("w",), ([-0.0],))}],
+    {"\0records0\0": Records(("x",), ([1.0],))},
+    {"a": "\0records0\0", "b": Records(("x",), ([1.0],))},
+    {"a": Records(("x",), ([1.0],)), "b": Records(("x",), ([2.0],))},
+])
+def test_json_text_records_edge_payloads(obj):
+    assert json_text(obj) == expanded_json(obj)
+
+
+def test_records_are_not_json_lists():
+    table = Records(("x",), ([1.0],))
+    with pytest.raises(TypeError, match="Records is not JSON serializable"):
+        json.dumps(table)
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        json_text({"samples": table, "other": object()})
+
+
+@pytest.mark.parametrize("keys,columns", [
+    ((), ()), (("x", "x"), ([1.0], [2.0])), (("x", "y"), ([1.0],)),
+])
+def test_records_reject_bad_shapes(keys, columns):
+    with pytest.raises(ValueError):
+        Records(keys, columns)

@@ -3,9 +3,10 @@
     python tools/cli_digest.py [--src DIR] > digests.txt
 
 Runs ``mmpatch.cli.main`` in process for every command (design, analyze,
-sweep, pattern) x format (json, csv) x config (two rectangular, two
-circular) x setting (defaults, ``--t1-form corrected``, ``--zref 75``, the
-non-default model variant), once writing to stdout and once with ``--out``.
+sweep, pattern) x format (json, csv) x config (two rectangular, three
+circular, one of them with a 20,001-point sweep and 0.1 degree cuts) x
+setting (defaults, ``--t1-form corrected``, ``--zref 75``, the non-default
+model variant), once writing to stdout and once with ``--out``.
 Each line names the run and gives its exit code and the sha256 of stdout,
 of the output file (``-`` without one) and of stderr. Two trees are
 byte-identical on the CLI when the outputs of this script are identical:
@@ -64,6 +65,15 @@ f_ghz = 60.0
 substrate.eps_r = 3.55
 substrate.h_mm = 0.254
 pattern.step_deg = 0.5
+""",
+    # large tables: the sample exports dominate these runs
+    "circ-large": """\
+geometry = circ
+f_ghz = 39.0
+substrate.eps_r = 2.32
+substrate.h_mm = 0.8
+sweep.points = 20001
+pattern.step_deg = 0.1
 """,
 }
 
