@@ -8,7 +8,6 @@ loss / VSWR / gain curves over frequency.
 """
 
 from .circpatch import (
-    CavityField,
     CircLossReport,
     CircPatchDesign,
     circ_design_from_radius,
@@ -36,25 +35,23 @@ from .errors import (
     SynthesisError,
 )
 from .media import (
-    CONSTANTS,
-    PhysicalConstants,
     Regime,
     RegimeReport,
+    ResistanceBreakdown,
     SubstrateSpec,
     free_space_wavelength,
+    surface_wave_factor,
     thickness_regime,
     wavenumber,
 )
 from .rectpatch import (
     RectDerived,
     RectPatchDesign,
-    ResistanceBreakdown,
     analyze_rect,
     derive_rect,
     eps_effective,
     input_resistance_rect,
     r_radiation_rect,
-    surface_wave_factor,
     synth_rect,
 )
 from .response import (
@@ -64,12 +61,9 @@ from .response import (
     SweepSpec,
     circ_resonator,
     extract_resonance,
-    input_impedance_vs_freq,
+    mismatch,
     rect_resonator,
-    reflection,
-    return_loss_db,
     sweep,
-    vswr,
 )
 from .specfun import Bracket, bessel_j, bessel_j_prime, find_root_bracketed, jprime_first_root
 

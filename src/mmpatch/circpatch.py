@@ -13,7 +13,8 @@ dielectric resistances are series terms proportional to their loss powers,
 R_x = R_r * P_x / P_r, so the efficiency R_r / R_total equals the radiated
 fraction of the input power exactly. The stored energy is Lommel's exact
 integral of the mode profile, and one budget pass yields all powers, the
-resistances and the Q. The alternative closed-form (voltage route)
+resistances and the Q (read them from :func:`loss_report` and
+:func:`resonator_terms_circ`). The alternative closed-form (voltage route)
 conductor/dielectric resistances are kept as cross-checks in
 :func:`r_conductor_circ_printed` / :func:`r_dielectric_circ_printed`.
 """
@@ -22,13 +23,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ModelRangeError, SynthesisError
-from .media import EPS0, ETA0, MU0, C0, SubstrateSpec, free_space_wavelength, wavenumber
-from .rectpatch import ResistanceBreakdown, surface_wave_factor
+from .media import (EPS0, ETA0, MU0, C0, ResistanceBreakdown, SubstrateSpec,
+                    free_space_wavelength, surface_wave_factor, wavenumber)
 from .specfun import Bracket, bessel_j, bessel_j_array, find_root_bracketed
 
 # First positive root of J1'; reproduced by specfun.jprime_first_root(1).
@@ -66,19 +68,6 @@ class CircPatchDesign:
             raise DomainError(f"design frequency must be > 0, got {self.f_design}")
         if self.mode_n != 1:
             raise DomainError("only the lowest mode (n = 1) is modeled")
-
-
-@dataclass(frozen=True)
-class CavityField:
-    """Cavity mode description at a reference edge-field amplitude E0.
-
-    E0 cancels out of every resistance and of efficiency, directivity, and
-    gain; it only scales powers and stored energy.
-    """
-
-    E0: float
-    k: float    # in-cavity wavenumber at resonance (rad/m)
-    k11: float  # mode wavenumber, 1.84118... / a_eff (rad/m)
 
 
 @dataclass(frozen=True)
@@ -148,17 +137,11 @@ def circ_design_from_radius(
 
 
 def _check_e0(E0: float, zero_ok: bool = False) -> None:
-    # Powers and energies scale with E0^2 and are exactly 0 at E0 = 0; field
-    # records and far fields need a positive amplitude.
+    # Powers and energies scale with E0^2 and are exactly 0 at E0 = 0; far
+    # fields need a positive amplitude.
     if not (math.isfinite(E0) and (E0 > 0.0 or (zero_ok and E0 == 0.0))):
         bound = ">= 0" if zero_ok else "> 0"
         raise DomainError(f"edge field amplitude must be finite and {bound}, got {E0}")
-
-
-def cavity_field(design: CircPatchDesign, E0: float = 1.0) -> CavityField:
-    _check_e0(E0)
-    k11 = J1P_FIRST_ROOT / design.a_eff
-    return CavityField(E0=E0, k=k11, k11=k11)
 
 
 def _radiation_series(k0a: float) -> float:
@@ -224,26 +207,6 @@ def stored_energy_closed_form(design: CircPatchDesign, f: float, E0: float = 1.0
     return E0 * E0 * design.substrate.h / (8.0 * omega * f * MU0) * _EDGE_BRACKET
 
 
-def _dielectric_power(design: CircPatchDesign, f: float, w_t: float) -> float:
-    return 2.0 * math.pi * f * design.substrate.tan_delta * w_t
-
-
-def _conductor_power(design: CircPatchDesign, f: float, w_t: float) -> float:
-    sub = design.substrate
-    skin = sub.h * math.sqrt(math.pi * f * MU0 * sub.sigma)
-    return 2.0 * math.pi * f * w_t / skin
-
-
-def p_dielectric(design: CircPatchDesign, f: float, E0: float = 1.0) -> float:
-    """Dielectric loss power P_d = omega * tan_delta * W_T."""
-    return _dielectric_power(design, f, stored_energy(design, E0))
-
-
-def p_conductor(design: CircPatchDesign, f: float, E0: float = 1.0) -> float:
-    """Conductor loss power P_c = omega * W_T / (h * sqrt(pi f mu0 sigma))."""
-    return _conductor_power(design, f, stored_energy(design, E0))
-
-
 def r_dielectric_circ_printed(design: CircPatchDesign, f: float) -> float:
     """Voltage-route closed form 4 mu0 f h / (tan_delta * J1^2(c) (c^2 - 1)).
 
@@ -262,30 +225,25 @@ def r_conductor_circ_printed(design: CircPatchDesign, f: float) -> float:
     return 4.0 * MU0 * f * sub.h**2 * math.sqrt(math.pi * f * MU0 * sub.sigma) / _EDGE_BRACKET
 
 
-@dataclass(frozen=True)
-class _Budget:
-    """Powers and stored energy at unit edge field, with the series
-    resistances R_x = R_r * P_x / P_r they imply and the Q."""
-
-    P_r: float
-    P_s: float
-    P_c: float
-    P_d: float
-    W_T: float
-    breakdown: ResistanceBreakdown
-    Q: float
+# Powers and stored energy at unit edge field, with the series resistances
+# R_x = R_r * P_x / P_r they imply and the Q.
+_Budget = namedtuple("_Budget", "P_r P_s P_c P_d W_T breakdown Q")
 
 
 def _budget(design: CircPatchDesign, f: float, t1_form: str) -> _Budget:
+    sub = design.substrate
     r_r = r_radiation_circ(design, f)
-    _, t1 = surface_wave_factor(design.substrate, f, t1_form)
+    _, t1 = surface_wave_factor(sub, f, t1_form)
+    omega = 2.0 * math.pi * f
     w_t = stored_energy(design)
     p_r = p_radiated(design, f)
-    p_c, p_d = _conductor_power(design, f, w_t), _dielectric_power(design, f, w_t)
+    # P_c = omega W_T / (h sqrt(pi f mu0 sigma)), P_d = omega tan_delta W_T
+    p_c = omega * w_t / (sub.h * math.sqrt(math.pi * f * MU0 * sub.sigma))
+    p_d = omega * sub.tan_delta * w_t
     r_s, r_c, r_d = t1 * r_r, r_r * p_c / p_r, r_r * p_d / p_r
     r_total = r_r + r_s + r_c + r_d
     # omega W_T over the summed powers, written as omega W_T R_r / (P_r R_total)
-    q = 2.0 * math.pi * f * w_t * r_r / (p_r * r_total)
+    q = omega * w_t * r_r / (p_r * r_total)
     return _Budget(
         P_r=p_r, P_s=t1 * p_r, P_c=p_c, P_d=p_d, W_T=w_t,
         breakdown=ResistanceBreakdown(R_r=r_r, R_s=r_s, R_c=r_c, R_d=r_d, R_total=r_total),
@@ -298,12 +256,6 @@ def r_total_circ(
 ) -> ResistanceBreakdown:
     """Series resistance breakdown at the edge-equivalent reference."""
     return _budget(design, f, t1_form).breakdown
-
-
-def q_total_circ(design: CircPatchDesign, f: float, t1_form: str = "printed") -> float:
-    """Quality factor of the energy budget, omega W_T over the summed
-    radiated, surface-wave, conductor, and dielectric powers."""
-    return _budget(design, f, t1_form).Q
 
 
 def _feed_taper(design: CircPatchDesign, rho0: float | None) -> float:
@@ -348,9 +300,9 @@ def input_resistance_circ(
 def resonator_terms_circ(
     design: CircPatchDesign, f: float, t1_form: str = "printed"
 ) -> tuple[float, float]:
-    """Total-basis input resistance at the design's feed radius and the Q,
-    both from one budget pass; equal to ``input_resistance_circ(design, f,
-    basis="total")`` and :func:`q_total_circ`."""
+    """Total-basis input resistance at the design's feed radius and the Q
+    (omega W_T over the summed loss powers), both from one budget pass; the
+    first equals ``input_resistance_circ(design, f, basis="total")``."""
     b = _budget(design, f, t1_form)
     return b.breakdown.R_total * _feed_taper(design, design.rho0), b.Q
 

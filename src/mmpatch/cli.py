@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import circpatch, rectpatch, response
 from .errors import ConfigError, ConvergenceError, DomainError
-from .media import SubstrateSpec, thickness_regime
+from .media import ResistanceBreakdown, SubstrateSpec, thickness_regime
 from .tables import Records, csv_text, json_text
 
 _KNOWN_KEYS = {
@@ -171,13 +171,18 @@ def build_job(args: argparse.Namespace) -> JobConfig:
 
     target_r = _number(values, "target_r_ohm", default=50.0)
     zref = _number(values, "sweep.zref", args.zref, 50.0)
+    if not sys.float_info.min <= zref < math.inf:
+        raise DomainError(f"reference impedance must be a finite, normal float > 0, got {zref}")
 
     f_start = _number(values, "sweep.f_start_ghz", default=0.95 * f_ghz)
     f_stop = _number(values, "sweep.f_stop_ghz", default=1.05 * f_ghz)
-    points = _number(values, "sweep.points", default=401)
+    points_text = values.get("sweep.points", "401")
+    points = int(points_text) if points_text.isdecimal() else 0
+    if points < 2:
+        raise ConfigError(f"sweep.points must be an integer >= 2, got {points_text!r}")
     sweep_spec = None
     if args.command == "sweep":
-        sweep_spec = response.SweepSpec(f_start * 1e9, f_stop * 1e9, int(points), zref)
+        sweep_spec = response.SweepSpec(f_start * 1e9, f_stop * 1e9, points, zref)
 
     mm = lambda key: (None if key not in values else _number(values, key) * 1e-3)
     step_deg = _number(values, "pattern.step_deg", default=1.0)
@@ -242,7 +247,7 @@ def _circ_design(job: JobConfig) -> circpatch.CircPatchDesign:
         fringing=fringing, placement_basis="radiation", t1_form=job.t1_form)
 
 
-def _breakdown_dict(b: rectpatch.ResistanceBreakdown) -> dict:
+def _breakdown_dict(b: ResistanceBreakdown) -> dict:
     return {"R_r": b.R_r, "R_s": b.R_s, "R_c": b.R_c, "R_d": b.R_d, "R_total": b.R_total}
 
 
@@ -269,14 +274,14 @@ def cmd_design(job: JobConfig) -> dict:
                                              fringing=job.variant != "no-fringing")
         r_in = circpatch.input_resistance_circ(design, f_res, basis="total",
                                                t1_form=job.t1_form)
-        gamma = abs(response.reflection(complex(r_in), job.zref))
+        _, _, vswr = response.mismatch(r_in, job.zref)
         report["design"] = {
             "a_mm": design.a * 1e3,
             "a_eff_mm": design.a_eff * 1e3,
             "rho0_mm": (design.rho0 * 1e3) if design.rho0 is not None else None,
             "f_res_ghz": f_res / 1e9,
             "r_in_ohm": r_in,
-            "vswr_at_res": response.vswr(gamma),
+            "vswr_at_res": float(vswr),
         }
     return report
 

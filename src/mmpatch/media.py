@@ -1,5 +1,6 @@
-"""Physical constants, free-space propagation, substrates, and the
-thick/thin substrate regime classifier.
+"""Physical constants, free-space propagation, substrates, the thick/thin
+substrate regime classifier, and the slab pieces both patch geometries
+share: the surface-wave factor and the series resistance breakdown.
 """
 
 from __future__ import annotations
@@ -8,23 +9,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 C0 = 2.99792458e8            # speed of light (m/s)
 MU0 = 4e-7 * math.pi         # vacuum permeability (H/m)
 EPS0 = 1.0 / (MU0 * C0**2)   # vacuum permittivity (F/m)
 ETA0 = MU0 * C0              # vacuum wave impedance (ohm), ~ 376.73 ~ 120*pi
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    c: float
-    mu0: float
-    eps0: float
-    eta0: float
-
-
-CONSTANTS = PhysicalConstants(c=C0, mu0=MU0, eps0=EPS0, eta0=ETA0)
 
 
 @dataclass(frozen=True)
@@ -49,6 +39,17 @@ class SubstrateSpec:
             raise DomainError(f"loss tangent must be >= 0, got {self.tan_delta}")
         if not self.sigma > 0.0:
             raise DomainError(f"conductivity must be > 0, got {self.sigma}")
+
+
+@dataclass(frozen=True)
+class ResistanceBreakdown:
+    """Series resistance decomposition; R_total is always the exact sum."""
+
+    R_r: float
+    R_s: float
+    R_c: float
+    R_d: float
+    R_total: float
 
 
 class Regime(Enum):
@@ -103,3 +104,30 @@ def thickness_regime(sub: SubstrateSpec, f: float) -> RegimeReport:
     threshold = regime_threshold(sub.eps_r)
     regime = Regime.THICK if ratio > threshold else Regime.THIN
     return RegimeReport(ratio=ratio, threshold=threshold, regime=regime)
+
+
+def surface_wave_factor(
+    sub: SubstrateSpec, f: float, t1_form: str = "printed"
+) -> tuple[float, float]:
+    """Surface-wave wavenumber K1 and loss factor T1 = R_s / R_r.
+
+    ``t1_form`` selects the bracket of the loss factor: ``"printed"`` keeps
+    both terms as (1 + (K1 h)^2/3)^2; ``"corrected"`` flips the first term's
+    sign to (1 - (K1 h)^2/3)^2 for sensitivity runs.
+
+    eps_r = 1 supports no surface wave and returns (0.0, 0.0).
+    """
+    if t1_form not in ("printed", "corrected"):
+        raise ConfigError(f"unknown T1 form {t1_form!r}; use 'printed' or 'corrected'")
+    er = sub.eps_r
+    k0 = wavenumber(f)
+    num = -er * er + er * math.sqrt(er * er + 4.0 * k0 * k0 * sub.h * sub.h * (er - 1.0))
+    if num <= 0.0:
+        return 0.0, 0.0
+    K1 = math.sqrt(num / (2.0 * sub.h * sub.h))
+    u = K1 * sub.h
+    u2_3 = u * u / 3.0
+    first = (1.0 - u2_3) ** 2 if t1_form == "corrected" else (1.0 + u2_3) ** 2
+    second = (1.0 + u2_3) ** 2 / math.cos(u) ** 2
+    T1 = (u / er) ** 2 * (first + second)
+    return K1, T1

@@ -6,7 +6,7 @@ The resonant input resistance is decomposed into four series terms:
 
 with the radiation term additionally tapered by the feed inset position.
 The surface-wave term is tied to the radiation term through the loss factor
-T1 returned by :func:`surface_wave_factor`.
+T1 returned by :func:`mmpatch.media.surface_wave_factor`.
 
 Two radiation-resistance model variants are exposed and must be selected
 explicitly:
@@ -25,7 +25,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError, SingularFeedError, SynthesisError
-from .media import ETA0, MU0, SubstrateSpec, free_space_wavelength, wavenumber
+from .media import (ETA0, MU0, ResistanceBreakdown, SubstrateSpec, free_space_wavelength,
+                    surface_wave_factor, wavenumber)
 
 RECT_VARIANTS = ("eq8-literal", "calibrated")
 
@@ -73,17 +74,6 @@ class RectDerived:
     Q_r: float        # radiation quality factor
     Z0a: float        # air-filled strip impedance (ohm)
     lambda_d: float   # in-dielectric wavelength (m)
-
-
-@dataclass(frozen=True)
-class ResistanceBreakdown:
-    """Series resistance decomposition; R_total is always the exact sum."""
-
-    R_r: float
-    R_s: float
-    R_c: float
-    R_d: float
-    R_total: float
 
 
 def eps_effective(sub: SubstrateSpec, L: float) -> float:
@@ -181,33 +171,6 @@ def edge_extension(design: RectPatchDesign) -> float:
     return _geometry(design)[4]
 
 
-def surface_wave_factor(
-    sub: SubstrateSpec, f: float, t1_form: str = "printed"
-) -> tuple[float, float]:
-    """Surface-wave wavenumber K1 and loss factor T1 = R_s / R_r.
-
-    ``t1_form`` selects the bracket of the loss factor: ``"printed"`` keeps
-    both terms as (1 + (K1 h)^2/3)^2; ``"corrected"`` flips the first term's
-    sign to (1 - (K1 h)^2/3)^2 for sensitivity runs.
-
-    eps_r = 1 supports no surface wave and returns (0.0, 0.0).
-    """
-    if t1_form not in ("printed", "corrected"):
-        raise ConfigError(f"unknown T1 form {t1_form!r}; use 'printed' or 'corrected'")
-    er = sub.eps_r
-    k0 = wavenumber(f)
-    num = -er * er + er * math.sqrt(er * er + 4.0 * k0 * k0 * sub.h * sub.h * (er - 1.0))
-    if num <= 0.0:
-        return 0.0, 0.0
-    K1 = math.sqrt(num / (2.0 * sub.h * sub.h))
-    u = K1 * sub.h
-    u2_3 = u * u / 3.0
-    first = (1.0 - u2_3) ** 2 if t1_form == "corrected" else (1.0 + u2_3) ** 2
-    second = (1.0 + u2_3) ** 2 / math.cos(u) ** 2
-    T1 = (u / er) ** 2 * (first + second)
-    return K1, T1
-
-
 def _losses(design: RectPatchDesign, f: float, q_r: float) -> tuple[float, float]:
     # R_c, and R_d as R_c scaled by the dielectric-to-conductor power-loss ratio
     sub = design.substrate
@@ -301,7 +264,7 @@ def input_resistance_rect(
 
     The radiation term is tapered with feed position; surface-wave,
     conductor, and dielectric terms add in series untapered. ``t1_form``
-    selects the surface-wave loss factor (see :func:`surface_wave_factor`).
+    selects the surface-wave loss factor (see :func:`mmpatch.media.surface_wave_factor`).
     """
     return _rect_pass(design, f, variant, t1_form).r_in
 

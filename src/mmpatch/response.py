@@ -1,10 +1,12 @@
-"""Frequency-domain response: input impedance near resonance, reflection,
-return loss, VSWR, sweeps, and resonance/bandwidth extraction.
+"""Frequency-domain response: the resonator model, sweeps, the one mismatch
+kernel (reflection magnitude, return loss, VSWR) that sweeps and scalar
+callers share, and resonance/bandwidth extraction.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import IO
 
@@ -98,35 +100,28 @@ class ResonanceReport:
     notes: tuple[str, ...] = ()
 
 
-def input_impedance_vs_freq(model: ResonatorModel, f: float) -> complex:
-    """Complex input impedance of the resonator at frequency f."""
-    if not f > 0.0:
-        raise DomainError(f"frequency must be > 0, got {f}")
-    nu = f / model.f_res - model.f_res / f
-    return model.r_res / (1.0 + 1j * model.q_total * nu)
+def mismatch(z, z_ref: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|Gamma|, return loss (dB) and VSWR of impedance z, a real or complex
+    scalar or array, against a real reference z_ref.
 
-
-def reflection(z: complex, z_ref: float) -> complex:
-    """Voltage reflection coefficient against a real reference impedance."""
-    if not z_ref > 0.0:
-        raise DomainError(f"reference impedance must be > 0, got {z_ref}")
-    return (z - z_ref) / (z + z_ref)
-
-
-def return_loss_db(gamma_mag: float) -> float:
-    """20 log10 |Gamma|, clamped at -100 dB for reporting."""
-    if gamma_mag <= 10.0 ** (RL_CLAMP_DB / 20.0):
-        return RL_CLAMP_DB
-    return max(20.0 * math.log10(gamma_mag), RL_CLAMP_DB)
-
-
-def vswr(gamma_mag: float) -> float:
-    """(1 + |Gamma|) / (1 - |Gamma|); +inf at total reflection."""
-    if gamma_mag < 0.0:
-        raise DomainError("reflection magnitude cannot be negative")
-    if gamma_mag >= 1.0:
-        return math.inf
-    return (1.0 + gamma_mag) / (1.0 - gamma_mag)
+    |Gamma| is capped at 1, its bound for Re z >= 0, against rounding on
+    near-reactive loads. The return loss is floored at RL_CLAMP_DB, so a
+    perfect match reads exactly -100 dB, and the VSWR is +inf at total
+    reflection. z_ref must be a finite, positive, normal float.
+    """
+    # below the smallest normal float the complex division overflows and
+    # |Gamma| comes out inf or NaN
+    if not sys.float_info.min <= z_ref < math.inf:
+        raise DomainError(f"reference impedance must be a finite, normal float > 0, got {z_ref}")
+    # numpy arithmetic for scalars too; a real z stays real, since real
+    # division is exact where numpy's complex division may be off by an ulp
+    z = np.asarray(z)
+    gmag = np.minimum(np.abs((z - z_ref) / (z + z_ref)), 1.0)
+    floor = 10.0 ** (RL_CLAMP_DB / 20.0)
+    rl = 20.0 * np.log10(np.maximum(gmag, floor))
+    with np.errstate(divide="ignore"):
+        vs = np.where(gmag < 1.0, (1.0 + gmag) / (1.0 - gmag), np.inf)
+    return gmag, rl, vs
 
 
 def rect_resonator(
@@ -155,12 +150,7 @@ def sweep(model: ResonatorModel, spec: SweepSpec) -> FrequencyResponse:
     f = np.linspace(spec.f_start, spec.f_stop, spec.points)
     nu = f / model.f_res - model.f_res / f
     z = model.r_res / (1.0 + 1j * model.q_total * nu)
-    gamma = (z - spec.reference_impedance) / (z + spec.reference_impedance)
-    gmag = np.abs(gamma)
-    floor = 10.0 ** (RL_CLAMP_DB / 20.0)
-    rl = 20.0 * np.log10(np.maximum(gmag, floor))
-    with np.errstate(divide="ignore"):
-        vs = np.where(gmag < 1.0, (1.0 + gmag) / (1.0 - gmag), np.inf)
+    gmag, rl, vs = mismatch(z, spec.reference_impedance)
     return FrequencyResponse(
         f_hz=f, r_in_ohm=z.real, x_in_ohm=z.imag, gamma_mag=gmag,
         rl_db=rl, vswr=vs, reference_impedance=spec.reference_impedance,

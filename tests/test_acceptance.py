@@ -149,7 +149,7 @@ def test_c10_series_vs_quadrature():
 def test_c11_exactness_properties(circ_design):
     f_res = resonant_frequency(circ_design.a, CIRC_SUB)
     b = r_total_circ(circ_design, f_res)
-    from mmpatch.rectpatch import surface_wave_factor
+    from mmpatch.media import surface_wave_factor
     _, t1 = surface_wave_factor(CIRC_SUB, f_res)
     assert b.R_s == pytest.approx(t1 * b.R_r, rel=1e-14)
     assert b.R_total == b.R_r + b.R_s + b.R_c + b.R_d

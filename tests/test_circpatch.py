@@ -8,7 +8,6 @@ from mmpatch import circpatch
 from mmpatch.circpatch import (
     J1P_FIRST_ROOT,
     CircPatchDesign,
-    cavity_field,
     circ_design_from_radius,
     directivity,
     effective_radius,
@@ -18,11 +17,8 @@ from mmpatch.circpatch import (
     gain,
     input_resistance_circ,
     loss_report,
-    p_conductor,
-    p_dielectric,
     p_radiated,
     pattern_cut,
-    q_total_circ,
     r_conductor_circ_printed,
     r_dielectric_circ_printed,
     r_radiation_circ,
@@ -36,8 +32,7 @@ from mmpatch.circpatch import (
     synth_circ,
 )
 from mmpatch.errors import DomainError
-from mmpatch.media import C0, SubstrateSpec, wavenumber
-from mmpatch.rectpatch import surface_wave_factor
+from mmpatch.media import C0, MU0, SubstrateSpec, surface_wave_factor, wavenumber
 from mmpatch.specfun import bessel_j, jprime_first_root
 
 from oracles import pattern_power
@@ -135,9 +130,10 @@ class TestGeometry:
             J1P_FIRST_ROOT * C0 / (2.0 * math.pi * F0 * math.sqrt(2.32)), rel=1e-14)
 
     def test_cavity_field_wavenumbers(self, design):
-        field = cavity_field(design)
-        assert field.k == field.k11
-        assert field.k11 * design.a_eff == pytest.approx(J1P_FIRST_ROOT, rel=1e-15)
+        # at resonance the in-cavity wavenumber is the mode's, k11 = c / a_eff
+        f_res = resonant_frequency(design.a_eff, design.substrate, fringing=False)
+        k = wavenumber(f_res) * math.sqrt(design.substrate.eps_r)
+        assert k * design.a_eff == pytest.approx(J1P_FIRST_ROOT, rel=1e-15)
 
 
 class TestRadiatedPower:
@@ -232,8 +228,9 @@ class TestResistances:
         assert r_c_p == pytest.approx(GOLD["R_c_printed"], rel=1e-9)
         # voltage route: closed forms equal (E0 h)^2 / (2 P_x)
         v0sq = sub.h**2
-        assert r_d_p == pytest.approx(v0sq / (2.0 * p_dielectric(design, F0)), rel=1e-5)
-        assert r_c_p == pytest.approx(v0sq / (2.0 * p_conductor(design, F0)), rel=1e-5)
+        rep = loss_report(design, F0)
+        assert r_d_p == pytest.approx(v0sq / (2.0 * rep.P_d), rel=1e-5)
+        assert r_c_p == pytest.approx(v0sq / (2.0 * rep.P_c), rel=1e-5)
         # R_d_printed * tan_delta is invariant in tan_delta
         doubled = circ_design_from_radius(design.a, replace(sub, tan_delta=2e-3), F0)
         assert r_dielectric_circ_printed(doubled, F0) * 2e-3 == pytest.approx(
@@ -278,35 +275,43 @@ class TestQuality:
     def test_energy_over_summed_powers(self, design):
         rep = loss_report(design, F0)
         p_sum = rep.P_r + rep.P_s + rep.P_c + rep.P_d
-        assert q_total_circ(design, F0) == pytest.approx(
+        assert resonator_terms_circ(design, F0)[1] == pytest.approx(
             2.0 * math.pi * F0 * rep.W_T / p_sum, rel=1e-12)
 
     def test_reference_value(self, design):
         f_res = resonant_frequency(design.a, design.substrate)
-        assert q_total_circ(design, f_res) == pytest.approx(1.5943067126511548, rel=1e-4)
+        assert resonator_terms_circ(design, f_res)[1] == pytest.approx(
+            1.5943067126511548, rel=1e-4)
 
     def test_resonator_terms_equal_separate_calls(self, sub):
         d = synth_circ(F0, sub)
         r_in, q = resonator_terms_circ(d, F0)
         assert r_in == input_resistance_circ(d, F0, basis="total")
-        assert q == q_total_circ(d, F0)
+        # the Q of the same pass that fills the loss report
+        rep = loss_report(d, F0)
+        b = rep.breakdown
+        assert q == 2.0 * math.pi * F0 * rep.W_T * b.R_r / (rep.P_r * b.R_total)
 
 
 class TestLossPowers:
     def test_lossless_limits(self, design, sub):
         no_loss = circ_design_from_radius(design.a, replace(sub, tan_delta=0.0), F0)
-        assert p_dielectric(no_loss, F0) == 0.0
+        assert loss_report(no_loss, F0).P_d == 0.0
         great_metal = circ_design_from_radius(design.a, replace(sub, sigma=1e30), F0)
-        assert p_conductor(great_metal, F0) < p_conductor(design, F0) * 1e-10
+        assert loss_report(great_metal, F0).P_c < loss_report(design, F0).P_c * 1e-10
 
     def test_budget_powers_equal_public_formulas(self, design):
         rep = loss_report(design, F0, E0=1.0)
-        assert rep.P_c == p_conductor(design, F0)
-        assert rep.P_d == p_dielectric(design, F0)
+        sub = design.substrate
+        omega = 2.0 * math.pi * F0
+        # P_c = omega W_T / (h sqrt(pi f mu0 sigma)), P_d = omega tan_delta W_T
+        assert rep.P_c == omega * rep.W_T / (sub.h * math.sqrt(math.pi * F0 * MU0 * sub.sigma))
+        assert rep.P_d == omega * sub.tan_delta * rep.W_T
         assert rep.W_T == stored_energy(design)
 
     def test_power_ratio_identity(self, design, sub):
-        ratio = p_dielectric(design, F0) / p_conductor(design, F0)
+        rep = loss_report(design, F0)
+        ratio = rep.P_d / rep.P_c
         expected = sub.tan_delta * sub.h * math.sqrt(math.pi * F0 * 4e-7 * math.pi * sub.sigma)
         assert ratio == pytest.approx(expected, rel=1e-12)
 
@@ -512,19 +517,19 @@ class TestLossReport:
 
 
 class TestFieldAmplitudeValidation:
-    """One E0 rule: finite everywhere; positive for field records and far
-    fields, non-negative for powers and energies (exactly 0 at E0 = 0)."""
+    """One E0 rule: finite everywhere; positive for far fields,
+    non-negative for powers and energies (exactly 0 at E0 = 0)."""
 
     FIELD_CALLS = {
-        "cavity_field": lambda d, E0: cavity_field(d, E0),
         "far_fields": lambda d, E0: far_fields(d, F0, E0, 0.3, 0.2),
     }
     POWER_CALLS = {
         "p_radiated": lambda d, E0: p_radiated(d, F0, E0),
         "stored_energy": lambda d, E0: stored_energy(d, E0),
         "stored_energy_closed_form": lambda d, E0: stored_energy_closed_form(d, F0, E0),
-        "p_conductor": lambda d, E0: p_conductor(d, F0, E0),
-        "p_dielectric": lambda d, E0: p_dielectric(d, F0, E0),
+        # the conductor and dielectric loss powers P_c, P_d
+        "p_conductor": lambda d, E0: loss_report(d, F0, E0=E0).P_c,
+        "p_dielectric": lambda d, E0: loss_report(d, F0, E0=E0).P_d,
         "loss_report": lambda d, E0: loss_report(d, F0, E0=E0).P_r,
     }
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -89,6 +90,18 @@ class TestDesign:
         assert r_in == base["design"]["r_in_ohm"]
         assert z75["design"]["vswr_at_res"] == pytest.approx(75.0 / r_in, rel=1e-12)
         assert base["design"]["vswr_at_res"] == pytest.approx(r_in / 50.0, rel=1e-12)
+
+    def test_centre_feed_reports_total_reflection(self, tmp_path):
+        # rho0 = 0 sits on the J1 null: r_in is 0 and |Gamma| is exactly 1
+        cfg = tmp_path / "centre.cfg"
+        cfg.write_text(CIRC_CONFIG + "patch.a_mm = 1.4\npatch.rho0_mm = 0\n")
+        out = tmp_path / "design.json"
+        assert main(["design", "--config", str(cfg), "--out", str(out)]) == 0
+        text = out.read_text()
+        assert '"vswr_at_res": Infinity' in text
+        design = json.loads(text)["design"]
+        assert design["r_in_ohm"] == 0.0
+        assert design["vswr_at_res"] == math.inf
 
     def test_config_zref_echoed_outside_sweep(self, tmp_path):
         cfg = tmp_path / "z.cfg"
@@ -226,6 +239,40 @@ class TestExitCodeMapping:
                           f"substrate.h_mm = {h_mm!r}\npatch.feed_mm = {0.1 * L * 1e3!r}\n")
         assert main([command, "--config", str(config)]) == 2
         assert "input resistance must be finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("zref", ["-5", "0", "nan", "inf", "5e-324"])
+    @pytest.mark.parametrize("command,geometry", [
+        ("design", "rect"), ("design", "circ"), ("analyze", "rect"), ("analyze", "circ"),
+        ("sweep", "rect"), ("sweep", "circ"), ("pattern", "circ"),
+    ])
+    def test_bad_reference_impedance_exits_2(self, capsys, rect_config, circ_config,
+                                            command, geometry, zref):
+        config = rect_config if geometry == "rect" else circ_config
+        assert main([command, "--config", config, f"--zref={zref}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "reference impedance must be a finite, normal float > 0" in captured.err
+
+    def test_bad_config_reference_impedance_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "z.cfg"
+        cfg.write_text(RECT_CONFIG + "sweep.zref = -5\n")
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        assert "reference impedance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", ["inf", "nan", "2.9", "2.0", "1e3", "1", "0", "-3", "ten"])
+    def test_sweep_points_must_be_an_integer_of_at_least_2(self, tmp_path, capsys, points):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(RECT_CONFIG + f"sweep.points = {points}\n")
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"sweep.points must be an integer >= 2, got {points!r}" in err
+
+    def test_two_point_sweep_from_config(self, tmp_path):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(RECT_CONFIG + "sweep.points = 2\n")
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["response"]["samples"]) == 2
 
     def test_error_classes_map_to_documented_codes(self):
         # the mapping itself, independent of how hard each error is to

@@ -5,7 +5,6 @@ import pytest
 from mmpatch.errors import DomainError
 from mmpatch.media import (
     C0,
-    CONSTANTS,
     EPS0,
     ETA0,
     MU0,
@@ -19,8 +18,8 @@ from mmpatch.media import (
 
 
 def test_constants_are_self_consistent():
-    assert CONSTANTS.eta0 == pytest.approx(math.sqrt(MU0 / EPS0), rel=1e-12)
-    assert CONSTANTS.c == 2.99792458e8
+    assert ETA0 == pytest.approx(math.sqrt(MU0 / EPS0), rel=1e-12)
+    assert C0 == 2.99792458e8
     # the analysis formulas treat eta0 and 120*pi interchangeably
     assert ETA0 == pytest.approx(120.0 * math.pi, rel=1e-3)
 

@@ -5,7 +5,9 @@ from dataclasses import replace
 import pytest
 
 from mmpatch.errors import ConfigError, DomainError, SingularFeedError, SynthesisError
-from mmpatch.media import ETA0, MU0, SubstrateSpec, free_space_wavelength, wavenumber
+from mmpatch.media import (
+    ETA0, MU0, SubstrateSpec, free_space_wavelength, surface_wave_factor, wavenumber,
+)
 from mmpatch.rectpatch import (
     RECT_CALIBRATION_SCALE,
     RECT_VARIANTS,
@@ -24,7 +26,6 @@ from mmpatch.rectpatch import (
     r_radiation_rect,
     resonator_terms_rect,
     strip_impedance,
-    surface_wave_factor,
     synth_rect,
 )
 from mmpatch.response import rect_resonator

@@ -1,13 +1,14 @@
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmpatch.circpatch import q_total_circ, synth_circ
+from mmpatch.circpatch import resonator_terms_circ, synth_circ
 from mmpatch.errors import DomainError
 from mmpatch.media import SubstrateSpec
 from mmpatch.rectpatch import RectPatchDesign
@@ -19,12 +20,9 @@ from mmpatch.response import (
     SweepSpec,
     circ_resonator,
     extract_resonance,
-    input_impedance_vs_freq,
+    mismatch,
     rect_resonator,
-    reflection,
-    return_loss_db,
     sweep,
-    vswr,
 )
 from mmpatch.tables import json_text
 
@@ -36,32 +34,36 @@ def model():
     return ResonatorModel(f_res=F0, r_res=65.0, q_total=40.0)
 
 
+def _impedance(model, f_lo, f_hi):
+    # input impedance at the two ends of a 2-point sweep, which hits both exactly
+    resp = sweep(model, SweepSpec(f_lo, f_hi, 2))
+    return resp.r_in_ohm + 1j * resp.x_in_ohm
+
+
 class TestImpedanceModel:
     def test_purely_real_at_resonance(self, model):
-        z = input_impedance_vs_freq(model, model.f_res)
+        z = _impedance(model, model.f_res, 2.0 * model.f_res)[0]
         assert z == pytest.approx(complex(model.r_res, 0.0), abs=1e-12)
 
     def test_magnitude_even_in_detuning(self, model):
         for x in (1.01, 1.05, 1.2):
-            z_hi = input_impedance_vs_freq(model, model.f_res * x)
-            z_lo = input_impedance_vs_freq(model, model.f_res / x)
+            z_lo, z_hi = _impedance(model, model.f_res / x, model.f_res * x)
             assert abs(z_hi) == pytest.approx(abs(z_lo), rel=1e-12)
 
     def test_half_power_points(self, model):
         # narrowband approximation f_res * (1 +/- 1/(2Q)) lands close...
-        for sign in (+1.0, -1.0):
-            f = model.f_res * (1.0 + sign / (2.0 * model.q_total))
-            z = input_impedance_vs_freq(model, f)
+        half = 1.0 / (2.0 * model.q_total)
+        for z in _impedance(model, model.f_res * (1.0 - half), model.f_res * (1.0 + half)):
             assert abs(z) == pytest.approx(model.r_res / math.sqrt(2.0), rel=5e-3)
         # ...and the exact detuning nu = 1/Q lands exactly
         nu = 1.0 / model.q_total
         f_exact = model.f_res * (nu + math.sqrt(nu * nu + 4.0)) / 2.0
-        z = input_impedance_vs_freq(model, f_exact)
+        z = _impedance(model, f_exact, 2.0 * f_exact)[0]
         assert abs(z) == pytest.approx(model.r_res / math.sqrt(2.0), rel=1e-12)
 
     def test_rejects_nonpositive_frequency(self, model):
         with pytest.raises(DomainError):
-            input_impedance_vs_freq(model, 0.0)
+            sweep(model, SweepSpec(0.0, model.f_res, 2))
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0, -1.0])
     @pytest.mark.parametrize("field", ["f_res", "r_res", "q_total"])
@@ -74,23 +76,66 @@ class TestImpedanceModel:
 
 class TestReflectionQuantities:
     def test_perfect_match(self):
-        gamma = reflection(complex(50.0, 0.0), 50.0)
-        assert abs(gamma) == 0.0
-        assert return_loss_db(abs(gamma)) == -100.0
-        assert vswr(abs(gamma)) == 1.0
+        gamma_mag, rl, vs = mismatch(complex(50.0, 0.0), 50.0)
+        assert gamma_mag == 0.0
+        assert rl == -100.0
+        assert vs == 1.0
 
     def test_short_circuit(self):
-        gamma = reflection(complex(0.0, 0.0), 50.0)
-        assert abs(gamma) == 1.0
-        assert vswr(abs(gamma)) == math.inf
+        gamma_mag, rl, vs = mismatch(complex(0.0, 0.0), 50.0)
+        assert gamma_mag == 1.0
+        assert rl == 0.0
+        assert vs == math.inf
 
     def test_vswr_return_loss_pairing(self):
-        # |Gamma| for VSWR 1.014 corresponds to about -43.2 dB, within 2 dB
-        # of the -41.36 dB figure it is quoted alongside
-        gamma_mag = (1.014 - 1.0) / (1.014 + 1.0)
-        rl = return_loss_db(gamma_mag)
+        # a real load at 1.014 z_ref has VSWR 1.014, about -43.2 dB, within
+        # 2 dB of the -41.36 dB figure it is quoted alongside
+        gamma_mag, rl, vs = mismatch(1.014 * 50.0, 50.0)
+        assert gamma_mag == pytest.approx((1.014 - 1.0) / (1.014 + 1.0), rel=1e-12)
+        assert vs == pytest.approx(1.014, rel=1e-12)
         assert rl == pytest.approx(-43.2, abs=0.1)
         assert abs(rl - (-41.36)) <= 2.0
+
+    @pytest.mark.parametrize("z_ref", [0.0, -50.0, math.inf, math.nan, 5e-324])
+    def test_rejects_bad_reference(self, z_ref):
+        # a subnormal z_ref is refused: the complex division overflows there
+        with pytest.raises(DomainError):
+            mismatch(50.0, z_ref)
+
+    def test_sweep_refuses_subnormal_reference(self, model):
+        with pytest.raises(DomainError):
+            sweep(model, SweepSpec(37e9, 41e9, 3, reference_impedance=5e-324))
+
+    def test_real_load_uses_real_division(self):
+        # numpy's complex division puts this quotient one ulp off the real
+        # one; a real z keeps the real division the CLI design VSWR relies on
+        r, z_ref = 53.34077078665794, 75.0
+        assert mismatch(r, z_ref)[0] == abs((r - z_ref) / (r + z_ref))
+
+    def test_reactive_load_reflects_totally(self):
+        # |Gamma| of 220j against 1e6 rounds to 1 + 2**-52 unless capped at 1
+        gamma_mag, rl, vs = mismatch(220j, 1e6)
+        assert (gamma_mag, rl, vs) == (1.0, 0.0, math.inf)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.0, 1e9),
+        st.floats(-1e9, 1e9),
+        st.floats(0.0, 1e6, exclude_min=True),
+    )
+    def test_mismatch_bounds_and_scalar_parity(self, r, x, z_ref):
+        z = complex(r, x)
+        if z_ref < sys.float_info.min:
+            with pytest.raises(DomainError):
+                mismatch(z, z_ref)
+            return
+        gamma_mag, rl, vs = mismatch(z, z_ref)
+        assert 0.0 <= gamma_mag <= 1.0
+        assert -100.0 <= rl <= 0.0
+        assert vs >= 1.0
+        assert (vs == math.inf) == (gamma_mag == 1.0)
+        for scalar, column in zip((gamma_mag, rl, vs), mismatch(np.array([z]), z_ref)):
+            assert scalar.tobytes() == column[0].tobytes()
 
     def test_consistency_identity_on_sweep(self, model):
         resp = sweep(model, SweepSpec(37e9, 41e9, 101))
@@ -329,4 +374,4 @@ class TestResonatorBuilders:
         assert m.f_res == pytest.approx(F0, rel=1e-6)
         assert m.r_res == pytest.approx(68.301, abs=0.01)
         assert m.q_total == pytest.approx(1.5943067126511548, rel=1e-4)
-        assert m.q_total == pytest.approx(q_total_circ(design, m.f_res), rel=1e-12)
+        assert m.q_total == pytest.approx(resonator_terms_circ(design, m.f_res)[1], rel=1e-12)
