@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DomainError, ModelRangeError, SynthesisError
 from .media import (EPS0, ETA0, MU0, C0, ResistanceBreakdown, SubstrateSpec,
                     free_space_wavelength, surface_wave_factor, wavenumber)
-from .specfun import Bracket, bessel_j, bessel_j_array, find_root_bracketed
+from .specfun import Bracket, bessel_j, bessel_j_rows, find_root_bracketed
 
 # First positive root of J1'; reproduced by specfun.jprime_first_root(1).
 J1P_FIRST_ROOT = 1.8411837813406593
@@ -366,8 +366,7 @@ def far_fields(
         raise DomainError("theta must lie in the upper hemisphere [0, pi/2]")
     k0 = wavenumber(f)
     u = k0 * design.a_eff * np.sin(theta_arr)
-    j0 = bessel_j_array(0, u)
-    j2 = bessel_j_array(2, u)
+    j0, j2 = bessel_j_rows((0, 2), u)
     pref = E0 * design.substrate.h * k0 * design.a_eff / 2.0
     e_theta = np.abs(pref * np.cos(phi_arr) * (j0 - j2))
     e_phi = np.abs(pref * np.cos(theta_arr) * np.sin(phi_arr) * (j0 + j2))
@@ -400,8 +399,7 @@ def directivity(design: CircPatchDesign, f: float, n_theta: int = 2001) -> float
     k0a = wavenumber(f) * design.a_eff
     theta = np.linspace(0.0, math.pi / 2, n_theta)
     u = k0a * np.sin(theta)
-    j0 = bessel_j_array(0, u)
-    j2 = bessel_j_array(2, u)
+    j0, j2 = bessel_j_rows((0, 2), u)
     integrand = ((j0 - j2) ** 2 + np.cos(theta) ** 2 * (j0 + j2) ** 2) * np.sin(theta)
     return 4.0 / float(np.trapezoid(integrand, theta))
 
@@ -423,25 +421,27 @@ def pattern_cut(
     """Principal-plane pattern cut, normalized to 0 dB at broadside.
 
     ``plane="E"`` is the |E_theta| cut in the phi = 0 plane, ``plane="H"``
-    the |E_phi| cut in the phi = pi/2 plane. Theta runs over [-pi/2, pi/2];
-    negative angles map to the mirrored azimuth. Nulls give -inf dB.
+    the |E_phi| cut in the phi = pi/2 plane. Theta runs over the multiples
+    of ``step`` (radians, at most pi/2) in [-pi/2, pi/2]: the outermost is
+    round(pi/2 / step) steps out, one fewer where that would pass pi/2.
+    Negative angles map to the mirrored azimuth. Nulls give -inf dB.
     """
     if plane not in ("E", "H"):
         raise DomainError(f"plane must be 'E' or 'H', got {plane!r}")
-    if not step > 0.0:
-        raise DomainError(f"step must be > 0, got {step}")
+    if not 0.0 < step <= math.pi / 2 + 1e-12:
+        raise DomainError(
+            f"pattern step must lie in (0, 90] degrees, got {math.degrees(step)!r} degrees")
+    # n * step must stay within the theta bound of far_fields
     n = int(round(math.pi / 2 / step))
+    while n * step > math.pi / 2 + 1e-12:
+        n -= 1
     thetas = np.arange(-n, n + 1) * step
     phi = 0.0 if plane == "E" else math.pi / 2
     e_theta, e_phi = far_fields(design, f, 1.0, np.abs(thetas), phi)
-    mags = e_theta if plane == "E" else e_phi
-    peak = float(mags[n])  # theta = 0 sample
-    out: list[tuple[float, float]] = []
-    for th, m in zip(thetas, mags):
-        rel = float(m) / peak
-        db = 20.0 * math.log10(rel) if rel > 0.0 else -math.inf
-        out.append((float(th), db))
-    return out
+    mags = e_theta if plane == "E" else e_phi  # mags[n] is the theta = 0 sample
+    # math.log10, not np.log10: the two can differ in the last bit
+    return [(th, 20.0 * math.log10(rel) if rel > 0.0 else -math.inf)
+            for th, rel in zip(thetas.tolist(), (mags / mags[n]).tolist())]
 
 
 def loss_report(

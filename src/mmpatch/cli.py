@@ -171,8 +171,7 @@ def build_job(args: argparse.Namespace) -> JobConfig:
 
     target_r = _number(values, "target_r_ohm", default=50.0)
     zref = _number(values, "sweep.zref", args.zref, 50.0)
-    if not sys.float_info.min <= zref < math.inf:
-        raise DomainError(f"reference impedance must be a finite, normal float > 0, got {zref}")
+    response.check_reference(zref)
 
     f_start = _number(values, "sweep.f_start_ghz", default=0.95 * f_ghz)
     f_stop = _number(values, "sweep.f_stop_ghz", default=1.05 * f_ghz)

@@ -27,6 +27,16 @@ def _positive(x: float) -> bool:
     return 0.0 < x < math.inf
 
 
+def check_reference(z_ref: float) -> None:
+    """Refuse a reference impedance that is not a finite, normal float > 0.
+
+    Below the smallest normal float the complex division of :func:`mismatch`
+    overflows and |Gamma| comes out inf or NaN.
+    """
+    if not sys.float_info.min <= z_ref < math.inf:
+        raise DomainError(f"reference impedance must be a finite, normal float > 0, got {z_ref}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     f_start: float
@@ -41,8 +51,7 @@ class SweepSpec:
             raise DomainError("sweep requires f_start < f_stop, both finite")
         if self.points < 2:
             raise DomainError(f"sweep needs at least 2 points, got {self.points}")
-        if not _positive(self.reference_impedance):
-            raise DomainError("reference impedance must be finite and > 0")
+        check_reference(self.reference_impedance)
 
 
 @dataclass(frozen=True)
@@ -109,10 +118,7 @@ def mismatch(z, z_ref: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     perfect match reads exactly -100 dB, and the VSWR is +inf at total
     reflection. z_ref must be a finite, positive, normal float.
     """
-    # below the smallest normal float the complex division overflows and
-    # |Gamma| comes out inf or NaN
-    if not sys.float_info.min <= z_ref < math.inf:
-        raise DomainError(f"reference impedance must be a finite, normal float > 0, got {z_ref}")
+    check_reference(z_ref)
     # numpy arithmetic for scalars too; a real z stays real, since real
     # division is exact where numpy's complex division may be off by an ulp
     z = np.asarray(z)

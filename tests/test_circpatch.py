@@ -406,9 +406,10 @@ class TestFarFields:
         assert oracle == pytest.approx(p_radiated(design, F0), rel=0.05)
 
 
-def _scalar_bessel_loop(n, values):
+def _scalar_bessel_rows(orders, values):
     flat = np.ravel(values)
-    return np.array([bessel_j(n, float(v)) for v in flat]).reshape(np.shape(values))
+    rows = [[bessel_j(n, float(v)) for v in flat] for n in orders]
+    return np.array(rows).reshape((len(orders),) + np.shape(values))
 
 
 class TestArrayKernelExact:
@@ -416,7 +417,7 @@ class TestArrayKernelExact:
     # loop over the scalar kernel.
     def _both(self, monkeypatch, fn):
         fast = fn()
-        monkeypatch.setattr(circpatch, "bessel_j_array", _scalar_bessel_loop)
+        monkeypatch.setattr(circpatch, "bessel_j_rows", _scalar_bessel_rows)
         return fast, fn()
 
     def test_directivity(self, design, monkeypatch):
@@ -505,6 +506,31 @@ class TestPatternCut:
     def test_unknown_plane_rejected(self, design):
         with pytest.raises(DomainError):
             pattern_cut(design, F0, "D")
+
+    @pytest.mark.parametrize("step_deg", [0.7, 0.3, 7.0, 13.0, 90.0, 1.0, 0.5, 5.0])
+    @pytest.mark.parametrize("plane", ["E", "H"])
+    def test_any_step_stays_in_the_hemisphere(self, design, plane, step_deg):
+        step = math.radians(step_deg)
+        cut = pattern_cut(design, F0, plane, step)
+        thetas = [th for th, _ in cut]
+        dbs = [db for _, db in cut]
+        n = len(cut) // 2
+        assert len(cut) == 2 * n + 1
+        assert thetas == [k * step for k in range(-n, n + 1)]
+        # the outermost multiple of step within pi/2
+        assert n * step <= math.pi / 2 + 1e-12 < (n + 1) * step
+        assert dbs == dbs[::-1]
+        assert dbs[n] == 0.0
+
+    @pytest.mark.parametrize("step_deg", [1.0, 0.5, 0.1, 5.0, 90.0])
+    def test_dividing_steps_keep_their_grid(self, design, step_deg):
+        cut = pattern_cut(design, F0, "E", math.radians(step_deg))
+        assert len(cut) == 2 * round(90.0 / step_deg) + 1
+
+    @pytest.mark.parametrize("step_deg", [100.0, 180.0, 0.0, -1.0, math.nan])
+    def test_bad_step_rejected(self, design, step_deg):
+        with pytest.raises(DomainError, match="pattern step"):
+            pattern_cut(design, F0, "E", math.radians(step_deg))
 
 
 class TestLossReport:

@@ -220,6 +220,25 @@ class TestPattern:
     def test_pattern_rejects_rect(self, rect_config):
         assert main(["pattern", "--config", rect_config]) == 1
 
+    @pytest.mark.parametrize("step_deg", ["0.7", "0.3", "7", "13", "90"])
+    def test_step_not_dividing_90_degrees(self, tmp_path, step_deg):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(CIRC_CONFIG + f"pattern.step_deg = {step_deg}\n")
+        out = tmp_path / "pattern.json"
+        assert main(["pattern", "--config", str(cfg), "--out", str(out)]) == 0
+        samples = json.loads(out.read_text())["samples"]
+        thetas = [s["theta_deg"] for s in samples]
+        assert max(abs(th) for th in thetas) <= 90.0
+        assert thetas == [-th for th in reversed(thetas)]
+        center = samples[len(samples) // 2]
+        assert (center["theta_deg"], center["e_plane_db"], center["h_plane_db"]) == (0, 0, 0)
+
+    def test_step_above_90_degrees_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(CIRC_CONFIG + "pattern.step_deg = 100\n")
+        assert main(["pattern", "--config", str(cfg)]) == 2
+        assert "pattern step must lie in (0, 90] degrees, got 100" in capsys.readouterr().err
+
 
 class TestExitCodeMapping:
     def test_bad_subcommand_exits_1(self):

@@ -102,6 +102,12 @@ class TestReflectionQuantities:
         with pytest.raises(DomainError):
             mismatch(50.0, z_ref)
 
+    @pytest.mark.parametrize("z_ref", [5e-324, sys.float_info.min / 2])
+    def test_spec_refuses_subnormal_reference(self, z_ref):
+        with pytest.raises(DomainError, match="normal float"):
+            SweepSpec(37e9, 41e9, 3, reference_impedance=z_ref)
+        assert SweepSpec(37e9, 41e9, 3, sys.float_info.min).reference_impedance > 0.0
+
     def test_sweep_refuses_subnormal_reference(self, model):
         with pytest.raises(DomainError):
             sweep(model, SweepSpec(37e9, 41e9, 3, reference_impedance=5e-324))

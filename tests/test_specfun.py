@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from mmpatch.errors import BracketError, ConvergenceError, DomainError
 from mmpatch.specfun import (
     Bracket,
+    _bessel_series,
     bessel_j,
-    bessel_j_array,
+    bessel_j_rows,
     bessel_j_prime,
     find_root_bracketed,
     jprime_first_root,
@@ -73,8 +76,40 @@ def scalar_loop(n, values):
     return np.array([bessel_j(n, float(v)) for v in flat]).reshape(np.shape(values))
 
 
+def assert_same_bits(a, b):
+    # equal values and equal sign bits: -0.0 and 0.0 count as different
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def old_bessel_series(n, x):
+    # the series loop as written before the stop-test hoist
+    half = 0.5 * x
+    term = 1.0
+    for k in range(1, n + 1):
+        term *= half / k
+    total = term
+    k = 1
+    while True:
+        term *= -(half * half) / (k * (k + n))
+        total += term
+        if abs(term) < 1e-16 * max(abs(total), 1e-300):
+            return total
+        k += 1
+        if k > 200:
+            return total
+
+
+TINY = 2.2250738585072014e-308  # smallest normal float
+SPECIAL_ARGS = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, TINY / 3, -TINY / 3,
+                TINY, 1e-150, 12.0, -12.0, 12.000000000000002, -12.000000000000002,
+                17.5, -29.75, 30.0]
+
+
 class TestBesselArray:
-    # Exact equality: the array series repeats the scalar operations in order.
+    # The one-row case of the array series, bit-identical to the scalar
+    # kernel: it repeats the scalar operations in order.
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     @pytest.mark.parametrize(
         "x",
@@ -87,28 +122,93 @@ class TestBesselArray:
         ids=["grid-with-zero", "negative", "miller", "mixed"],
     )
     def test_equals_scalar_kernel(self, n, x):
-        assert np.array_equal(bessel_j_array(n, x), scalar_loop(n, x))
+        assert_same_bits(bessel_j_rows((n,), x)[0], scalar_loop(n, x))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_shape_kept(self, n):
-        zero_d = bessel_j_array(n, -1.3)
+        zero_d = bessel_j_rows((n,), -1.3)[0]
         assert zero_d.shape == ()
         assert float(zero_d) == bessel_j(n, -1.3)
         grid = np.linspace(-20.0, 20.0, 12).reshape(3, 4)
-        out = bessel_j_array(n, grid)
+        out = bessel_j_rows((n,), grid)[0]
         assert out.shape == (3, 4)
-        assert np.array_equal(out, scalar_loop(n, grid))
+        assert_same_bits(out, scalar_loop(n, grid))
 
     def test_rejects_non_finite_argument(self):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
-                bessel_j_array(0, np.array([0.5, bad]))
+                bessel_j_rows((0,), np.array([0.5, bad]))
 
     def test_rejects_bad_order(self):
         with pytest.raises(DomainError):
-            bessel_j_array(-1, np.array([1.0]))
+            bessel_j_rows((-1,), np.array([1.0]))
         with pytest.raises(DomainError):
-            bessel_j_array(1.5, np.array([1.0]))  # type: ignore[arg-type]
+            bessel_j_rows((1.5,), np.array([1.0]))  # type: ignore[arg-type]
+
+
+class TestBesselRows:
+    # One series pass for several orders; each row is bit-identical to the
+    # scalar kernel, sign of zero included.
+    ORDERS = [(0, 2), (1, 3), (0, 1, 2, 3, 5)]
+
+    @pytest.mark.parametrize("orders", ORDERS)
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.linspace(0.0, 1.6, 2001),
+            np.linspace(-12.0, 12.0, 241),
+            np.linspace(12.05, 30.0, 60),
+            np.array(SPECIAL_ARGS),
+        ],
+        ids=["far-field-grid", "series-range", "miller", "special"],
+    )
+    def test_rows_equal_scalar_kernel(self, orders, x):
+        rows = bessel_j_rows(orders, x)
+        assert rows.shape == (len(orders),) + x.shape
+        for row, n in zip(rows, orders):
+            assert_same_bits(row, scalar_loop(n, x))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        orders=st.lists(st.integers(0, 8), min_size=1, max_size=4).map(tuple),
+        values=st.lists(
+            st.one_of(st.floats(-30.0, 30.0), st.sampled_from(SPECIAL_ARGS)),
+            min_size=1, max_size=40),
+    )
+    def test_rows_equal_scalar_kernel_property(self, orders, values):
+        x = np.array(values)
+        for row, n in zip(bessel_j_rows(orders, x), orders):
+            assert_same_bits(row, scalar_loop(n, x))
+
+    @pytest.mark.parametrize("shape", [(), (181, 1), (46, 73)])
+    @pytest.mark.parametrize("orders", ORDERS)
+    def test_shapes(self, orders, shape):
+        x = np.linspace(-14.0, 14.0, max(1, math.prod(shape))).reshape(shape)
+        rows = bessel_j_rows(orders, x)
+        assert rows.shape == (len(orders),) + shape
+        for row, n in zip(rows, orders):
+            assert_same_bits(row, scalar_loop(n, x))
+
+    @pytest.mark.parametrize("orders", [(0, -1), (2, 1.5), (-3,), (0, True), ()])
+    def test_rejects_bad_order(self, orders):
+        with pytest.raises(DomainError):
+            bessel_j_rows(orders, np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_argument(self, bad):
+        with pytest.raises(DomainError):
+            bessel_j_rows((0, 2), np.array([[0.5, bad]]))
+        with pytest.raises(DomainError):
+            bessel_j_rows((1,), bad)
+
+
+class TestScalarSeries:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])
+    def test_hoisted_loop_equals_old_loop(self, n):
+        values = [abs(v) for v in SPECIAL_ARGS if abs(v) <= 12.0]
+        values += np.linspace(0.0, 12.0, 601).tolist()
+        for x in values:
+            assert float.hex(_bessel_series(n, x)) == float.hex(old_bessel_series(n, x))
 
 
 class TestBesselJPrime:

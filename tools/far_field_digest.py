@@ -1,0 +1,97 @@
+"""Print one sha256 per seeded circular design over its far-field numbers,
+for bit-level parity checks of the Bessel kernels and the far-field code.
+
+    python tools/far_field_digest.py [--src DIR] > digests.txt
+
+Each of the 200 designs draws a laminate and a design frequency f0 from
+a fixed seed and gets a resonant disk with fringing. Its line hashes the ``float.hex``
+of every number below, in order:
+
+* ``directivity`` at 0.8 f0, f0 and 1.25 f0;
+* the E and H ``pattern_cut`` at f0 with 1, 0.5 and 0.1 degree steps;
+* a 46 x 73 (theta, phi) ``far_fields`` grid at 1.1 f0 with E0 = 2.5;
+* ``radiated_power_from_pattern`` at f0;
+* every field of ``loss_report`` at f0.
+
+Two trees compute bit-identical far fields when the outputs of this
+script are identical:
+
+    python tools/far_field_digest.py --src OLD/src > old.txt
+    python tools/far_field_digest.py > new.txt
+    diff old.txt new.txt
+
+``--src`` selects the package tree to import (default: ``src`` next to
+this directory).
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import math
+import random
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SEED = 39
+DESIGNS = 200
+EPS_R = (2.2, 10.2)
+H_MM = (0.127, 0.8)
+F0_GHZ = (20.0, 60.0)
+CUT_STEPS_DEG = (1.0, 0.5, 0.1)
+
+
+def flat_floats(value):
+    """The floats of a number, array, dataclass or nested sequence, in order."""
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from flat_floats(getattr(value, field.name))
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from flat_floats(item)
+    elif hasattr(value, "tolist") and not isinstance(value, float):
+        yield from flat_floats(value.tolist())
+    else:
+        yield float(value)
+
+
+def design_digest(cp, design) -> str:
+    f0 = design.f_design
+    theta = np.linspace(0.0, math.pi / 2, 46)
+    phi = np.linspace(0.0, 2.0 * math.pi, 73)
+    values = [
+        [cp.directivity(design, ratio * f0) for ratio in (0.8, 1.0, 1.25)],
+        [cp.pattern_cut(design, f0, plane, math.radians(step))
+         for step in CUT_STEPS_DEG for plane in ("E", "H")],
+        cp.far_fields(design, 1.1 * f0, 2.5, theta[:, None], phi[None, :]),
+        cp.radiated_power_from_pattern(design, f0),
+        cp.loss_report(design, f0),
+    ]
+    text = " ".join(float.hex(v) for v in flat_floats(values))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+                        help="directory that holds the mmpatch package")
+    args = parser.parse_args()
+    sys.path.insert(0, args.src)
+    from mmpatch import circpatch as cp
+    from mmpatch.media import SubstrateSpec
+
+    rng = random.Random(SEED)
+    for i in range(DESIGNS):
+        sub = SubstrateSpec(eps_r=rng.uniform(*EPS_R), h=rng.uniform(*H_MM) * 1e-3)
+        f0 = rng.uniform(*F0_GHZ) * 1e9
+        design = cp.circ_design_from_radius(cp.resonant_radius(f0, sub), sub, f0)
+        print(f"design {i:03d} eps_r={sub.eps_r:.4f} h_mm={sub.h * 1e3:.4f} "
+              f"f0_ghz={f0 / 1e9:.4f} sha256={design_digest(cp, design)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
