@@ -389,19 +389,53 @@ def radiated_power_from_pattern(
     return float(np.trapezoid(inner, theta))
 
 
-def directivity(design: CircPatchDesign, f: float, n_theta: int = 2001) -> float:
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # P_n(x) and P_n'(x) by the three-term recurrence, for |x| < 1
+    p_prev, p = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # Nodes and weights on [-1, 1]: Newton on P_n from the asymptotic
+    # guesses, all nodes at once; w = 2 / ((1 - x^2) P_n'(x)^2).
+    x = np.cos(math.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, dp = _legendre(n, x)
+        dx = p / dp
+        x = x - dx
+        if np.max(np.abs(dx)) <= 1e-15:
+            break
+    _, dp = _legendre(n, x)
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+# The 32-node Gauss-Legendre rule on theta in [0, pi/2], built once. The
+# directivity integrand is analytic in theta, so the rule converges
+# exponentially: within ~1e-15 of an adaptive reference for k0 a_eff <= 8
+# and ~2e-14 up to 20.
+_GL_X, _GL_W = _gauss_legendre(32)
+_GL_THETA = 0.25 * math.pi * (_GL_X + 1.0)
+_GL_WEIGHTS = 0.25 * math.pi * _GL_W
+_GL_SIN = np.sin(_GL_THETA)
+_GL_COS2 = np.cos(_GL_THETA) ** 2
+
+
+def directivity(design: CircPatchDesign, f: float) -> float:
     """Broadside directivity of the modeled pattern (dimensionless).
 
     D = 4 pi U(theta=0) / P_rad with the radiated power integrated from the
     same pattern, so amplitude and reference distance cancel; tends to 3.0
-    as the disk becomes electrically small.
+    as the disk becomes electrically small. The theta integral is a fixed
+    32-node Gauss-Legendre rule on [0, pi/2].
     """
     k0a = wavenumber(f) * design.a_eff
-    theta = np.linspace(0.0, math.pi / 2, n_theta)
-    u = k0a * np.sin(theta)
-    j0, j2 = bessel_j_rows((0, 2), u)
-    integrand = ((j0 - j2) ** 2 + np.cos(theta) ** 2 * (j0 + j2) ** 2) * np.sin(theta)
-    return 4.0 / float(np.trapezoid(integrand, theta))
+    j0, j2 = bessel_j_rows((0, 2), k0a * _GL_SIN)
+    integrand = ((j0 - j2) ** 2 + _GL_COS2 * (j0 + j2) ** 2) * _GL_SIN
+    # an elementwise product and np.sum, not a BLAS dot, so the bits do
+    # not depend on the BLAS build
+    return 4.0 / float(np.sum(_GL_WEIGHTS * integrand))
 
 
 def efficiency(design: CircPatchDesign, f: float, t1_form: str = "printed") -> float:

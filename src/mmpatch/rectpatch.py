@@ -178,19 +178,6 @@ def _losses(design: RectPatchDesign, f: float, q_r: float) -> tuple[float, float
     return r_c, r_c * (sub.tan_delta * sub.h * math.sqrt(math.pi * f * MU0 * sub.sigma))
 
 
-def r_conductor_rect(design: RectPatchDesign, f: float) -> float:
-    """Conductor-loss resistance: 0.00027 * (L/W) * Q_r^2 * sqrt(f in GHz)."""
-    sub = design.substrate
-    return _losses(design, f, q_radiation(sub, f, eps_effective(sub, design.L)))[0]
-
-
-def r_dielectric_rect(design: RectPatchDesign, f: float) -> float:
-    """Dielectric-loss resistance, scaled off the conductor term by the
-    dielectric-to-conductor power-loss ratio tan_delta * h * sqrt(pi f mu0 sigma)."""
-    sub = design.substrate
-    return _losses(design, f, q_radiation(sub, f, eps_effective(sub, design.L)))[1]
-
-
 def _radiation(z0w: float, l_ef: float, f: float, variant: str) -> float:
     if variant not in RECT_VARIANTS:
         raise ConfigError(

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from mmpatch import circpatch
 from mmpatch.circpatch import (
@@ -446,8 +447,26 @@ class TestDirectivityEfficiencyGain:
         small = CircPatchDesign(a=a_eff, a_eff=a_eff, rho0=None, substrate=sub, f_design=F0)
         assert directivity(small, F0) == pytest.approx(3.0, rel=0.02)
 
+    def test_small_disk_limit_exact(self, sub):
+        a_eff = 1e-6 / wavenumber(F0)
+        tiny = CircPatchDesign(a=a_eff, a_eff=a_eff, rho0=None, substrate=sub, f_design=F0)
+        assert directivity(tiny, F0) == pytest.approx(3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("k0a", [1e-3, 0.1, 0.5, 1.0, 1.5, 1.84, 3.2, 5.0, 8.0, 12.0, 20.0])
+    def test_matches_adaptive_quadrature(self, sub, k0a):
+        def integrand(theta):
+            u = k0a * math.sin(theta)
+            j0, j2 = special.jv(0, u), special.jv(2, u)
+            return ((j0 - j2) ** 2 + math.cos(theta) ** 2 * (j0 + j2) ** 2) * math.sin(theta)
+
+        power, _ = integrate.quad(integrand, 0.0, math.pi / 2, epsabs=0.0, epsrel=1e-13,
+                                  limit=200)
+        a_eff = k0a / wavenumber(F0)
+        d = CircPatchDesign(a=a_eff, a_eff=a_eff, rho0=None, substrate=sub, f_design=F0)
+        assert directivity(d, F0) == pytest.approx(4.0 / power, rel=1e-12)
+
     def test_reference_directivity(self, design):
-        assert directivity(design, F0) == pytest.approx(GOLD["D"], rel=1e-5)
+        assert directivity(design, F0) == pytest.approx(GOLD["D"], rel=1e-8)
 
     def test_efficiency_reference_and_bounds(self, design):
         e_r = efficiency(design, F0)
@@ -457,7 +476,7 @@ class TestDirectivityEfficiencyGain:
     def test_gain_identity_and_reference(self, design):
         g = gain(design, F0)
         assert g == pytest.approx(efficiency(design, F0) * directivity(design, F0), rel=1e-15)
-        assert g == pytest.approx(GOLD["G"], rel=1e-5)
+        assert g == pytest.approx(GOLD["G"], rel=1e-8)
         assert 10.0 * math.log10(g) == pytest.approx(4.76, abs=1.5)
 
     def test_lossless_airlike_gain_equals_directivity(self):

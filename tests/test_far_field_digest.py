@@ -1,5 +1,5 @@
-"""tools/far_field_digest.py prints one distinct sha256 line per seeded
-circular design."""
+"""tools/far_field_digest.py prints one line per seeded circular design
+with a distinct fields and directivity sha256 each."""
 
 import pathlib
 import re
@@ -16,10 +16,12 @@ def test_digest_prints_one_line_per_design(tmp_path):
     assert proc.stderr == ""
     lines = proc.stdout.splitlines()
     assert len(lines) == 200
-    digests = []
+    digests = {"fields": [], "directivity": []}
     for i, line in enumerate(lines):
         assert line.startswith(f"design {i:03d} "), line
-        match = re.search(r" sha256=([0-9a-f]{64})$", line)
+        match = re.search(r" fields=([0-9a-f]{64}) directivity=([0-9a-f]{64})$", line)
         assert match, line
-        digests.append(match.group(1))
-    assert len(set(digests)) == len(digests)
+        digests["fields"].append(match.group(1))
+        digests["directivity"].append(match.group(2))
+    for hashes in digests.values():
+        assert len(set(hashes)) == len(hashes)

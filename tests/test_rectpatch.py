@@ -21,8 +21,6 @@ from mmpatch.rectpatch import (
     feed_taper,
     input_resistance_rect,
     q_radiation,
-    r_conductor_rect,
-    r_dielectric_rect,
     r_radiation_rect,
     resonator_terms_rect,
     strip_impedance,
@@ -120,32 +118,38 @@ class TestQRadiation:
         assert q2 == pytest.approx(0.5 * q1, rel=1e-12)
 
 
+def _loss_terms(design, f=F0):
+    # R_c and R_d of the resistance breakdown; neither depends on the variant
+    breakdown = analyze_rect(design, f, "calibrated")[0]
+    return breakdown.R_c, breakdown.R_d
+
+
 class TestLossResistances:
     def test_conductor_reference(self, design):
-        assert r_conductor_rect(design, F0) == pytest.approx(GOLD["R_c"], rel=1e-12)
+        assert _loss_terms(design)[0] == pytest.approx(GOLD["R_c"], rel=1e-12)
 
     def test_conductor_quadratic_in_q(self, design):
         # doubling h halves Q_r at (almost) fixed eps_ew; rebuild with a
         # geometry that pins eps_ew by scaling L with h
-        r1 = r_conductor_rect(design, F0)
+        r1 = _loss_terms(design)[0]
         scaled = RectPatchDesign(
             L=2.0 * design.L, W=2.0 * design.W, feed_offset_a=0.0,
             substrate=replace(design.substrate, h=2.0 * design.substrate.h),
             f_design=F0)
-        assert r_conductor_rect(scaled, F0) == pytest.approx(0.25 * r1, rel=1e-12)
+        assert _loss_terms(scaled)[0] == pytest.approx(0.25 * r1, rel=1e-12)
 
     def test_dielectric_reference_and_ratio(self, design):
-        r_d = r_dielectric_rect(design, F0)
+        r_c, r_d = _loss_terms(design)
         assert r_d == pytest.approx(GOLD["R_d"], rel=1e-12)
         ratio = design.substrate.tan_delta * design.substrate.h * math.sqrt(
             math.pi * F0 * MU0 * design.substrate.sigma)
         assert ratio == pytest.approx(2.39, abs=0.01)  # order-of-magnitude anchor
-        assert r_d / r_conductor_rect(design, F0) == pytest.approx(ratio, rel=1e-12)
+        assert r_d / r_c == pytest.approx(ratio, rel=1e-12)
 
     def test_lossless_dielectric_gives_zero(self, design):
         lossless = replace(design.substrate, tan_delta=0.0)
         d = RectPatchDesign(design.L, design.W, design.feed_offset_a, lossless, F0)
-        assert r_dielectric_rect(d, F0) == 0.0
+        assert _loss_terms(d)[1] == 0.0
 
 
 class TestStripImpedance:
@@ -285,7 +289,7 @@ class TestRadiationResistance:
         r_base = r_radiation_rect(design, F0, "eq8-literal")
         _, t1 = surface_wave_factor(design.substrate, F0)
         tau = feed_taper(design, F0)
-        losses = r_conductor_rect(design, F0) + r_dielectric_rect(design, F0)
+        losses = sum(_loss_terms(design))
         scale = (50.0 - losses) / (r_base * (tau + t1))
         assert RECT_CALIBRATION_SCALE == pytest.approx(scale, rel=1e-9)
 
@@ -394,8 +398,10 @@ class TestRectOnePass:
         eew = eps_effective(sub, design.L)
         assert breakdown.R_r == r_radiation_rect(design, f, variant)
         assert breakdown.R_s == t1 * breakdown.R_r
-        assert breakdown.R_c == r_conductor_rect(design, f)
-        assert breakdown.R_d == r_dielectric_rect(design, f)
+        q_r = q_radiation(sub, f, eew)
+        assert breakdown.R_c == 0.00027 * (design.L / design.W) * q_r * q_r * math.sqrt(f / 1e9)
+        assert breakdown.R_d == breakdown.R_c * (
+            sub.tan_delta * sub.h * math.sqrt(math.pi * f * MU0 * sub.sigma))
         assert r_in == (breakdown.R_r * feed_taper(design, f)
                         + breakdown.R_s + breakdown.R_c + breakdown.R_d)
         assert der == derive_rect(design, f, t1_form)

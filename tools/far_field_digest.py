@@ -1,17 +1,24 @@
-"""Print one sha256 per seeded circular design over its far-field numbers,
+"""Print two sha256 per seeded circular design over its far-field numbers,
 for bit-level parity checks of the Bessel kernels and the far-field code.
 
     python tools/far_field_digest.py [--src DIR] > digests.txt
 
 Each of the 200 designs draws a laminate and a design frequency f0 from
-a fixed seed and gets a resonant disk with fringing. Its line hashes the ``float.hex``
-of every number below, in order:
+a fixed seed and gets a resonant disk with fringing. Its line carries two
+hashes, each over the ``float.hex`` of the numbers below, in order.
+``fields=`` hashes the fields and the budget:
 
-* ``directivity`` at 0.8 f0, f0 and 1.25 f0;
 * the E and H ``pattern_cut`` at f0 with 1, 0.5 and 0.1 degree steps;
 * a 46 x 73 (theta, phi) ``far_fields`` grid at 1.1 f0 with E0 = 2.5;
 * ``radiated_power_from_pattern`` at f0;
-* every field of ``loss_report`` at f0.
+* every field of ``loss_report`` at f0 except D and G.
+
+``directivity=`` hashes the directivity quadrature:
+
+* ``directivity`` at 0.8 f0, f0 and 1.25 f0;
+* D and G of that ``loss_report``.
+
+A change to the directivity rule moves only the second hash.
 
 Two trees compute bit-identical far fields when the outputs of this
 script are identical:
@@ -58,20 +65,31 @@ def flat_floats(value):
         yield float(value)
 
 
-def design_digest(cp, design) -> str:
+def sha256_of_floats(values) -> str:
+    text = " ".join(float.hex(v) for v in flat_floats(values))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def design_digests(cp, design) -> tuple[str, str]:
+    """The ``fields`` and ``directivity`` hashes of one design."""
     f0 = design.f_design
     theta = np.linspace(0.0, math.pi / 2, 46)
     phi = np.linspace(0.0, 2.0 * math.pi, 73)
-    values = [
-        [cp.directivity(design, ratio * f0) for ratio in (0.8, 1.0, 1.25)],
+    report = cp.loss_report(design, f0)
+    fields = [
         [cp.pattern_cut(design, f0, plane, math.radians(step))
          for step in CUT_STEPS_DEG for plane in ("E", "H")],
         cp.far_fields(design, 1.1 * f0, 2.5, theta[:, None], phi[None, :]),
         cp.radiated_power_from_pattern(design, f0),
-        cp.loss_report(design, f0),
+        [getattr(report, field.name) for field in dataclasses.fields(report)
+         if field.name not in ("D", "G")],
     ]
-    text = " ".join(float.hex(v) for v in flat_floats(values))
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
+    directivity = [
+        [cp.directivity(design, ratio * f0) for ratio in (0.8, 1.0, 1.25)],
+        report.D,
+        report.G,
+    ]
+    return sha256_of_floats(fields), sha256_of_floats(directivity)
 
 
 def main() -> int:
@@ -88,8 +106,9 @@ def main() -> int:
         sub = SubstrateSpec(eps_r=rng.uniform(*EPS_R), h=rng.uniform(*H_MM) * 1e-3)
         f0 = rng.uniform(*F0_GHZ) * 1e9
         design = cp.circ_design_from_radius(cp.resonant_radius(f0, sub), sub, f0)
+        fields, directivity = design_digests(cp, design)
         print(f"design {i:03d} eps_r={sub.eps_r:.4f} h_mm={sub.h * 1e3:.4f} "
-              f"f0_ghz={f0 / 1e9:.4f} sha256={design_digest(cp, design)}")
+              f"f0_ghz={f0 / 1e9:.4f} fields={fields} directivity={directivity}")
     return 0
 
 
