@@ -9,7 +9,7 @@ small-disk limit of 3 (4.77 dB).
 
 import math
 
-from mmpatch import SubstrateSpec, directivity, pattern_cut, synth_circ
+from mmpatch import SubstrateSpec, directivity, pattern_cuts, synth_circ
 from mmpatch.circpatch import CircPatchDesign
 from mmpatch.media import wavenumber
 
@@ -19,8 +19,7 @@ f0 = 39e9
 design = synth_circ(f0, sub)
 
 # --- principal-plane cuts ----------------------------------------------------
-e_cut = pattern_cut(design, f0, "E", step=math.radians(10))
-h_cut = pattern_cut(design, f0, "H", step=math.radians(10))
+e_cut, h_cut = pattern_cuts(design, f0, step=math.radians(10))
 
 print("theta    E-plane   H-plane   (dB relative to broadside)")
 for (th, e_db), (_, h_db) in zip(e_cut, h_cut):

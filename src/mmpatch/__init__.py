@@ -20,6 +20,7 @@ from .circpatch import (
     input_resistance_circ,
     loss_report,
     pattern_cut,
+    pattern_cuts,
     resonant_frequency,
     resonant_radius,
     synth_circ,

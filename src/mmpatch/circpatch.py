@@ -17,6 +17,14 @@ resistances and the Q (read them from :func:`loss_report` and
 :func:`resonator_terms_circ`). The alternative closed-form (voltage route)
 conductor/dielectric resistances are kept as cross-checks in
 :func:`r_conductor_circ_printed` / :func:`r_dielectric_circ_printed`.
+
+Far field: :func:`directivity` is 4 / I with I the pattern integral of
+Balanis section 14.3. For k0 a_eff <= 1.6 it is summed from the exact
+power series of I in (k0 a_eff)^2, whose coefficients are built once at
+import; above that the alternating series loses digits and a fixed 32-node
+Gauss-Legendre rule in theta takes over. :func:`pattern_cuts` evaluates
+both principal-plane cuts from one Bessel pass over the angles theta >= 0
+and mirrors them; :func:`pattern_cut` returns one of the two.
 """
 
 from __future__ import annotations
@@ -364,12 +372,19 @@ def far_fields(
         raise DomainError("theta and phi must be finite")
     if np.any(theta_arr < 0.0) or np.any(theta_arr > math.pi / 2 + 1e-12):
         raise DomainError("theta must lie in the upper hemisphere [0, pi/2]")
+    return _fields(design, f, E0, theta_arr, phi_arr)
+
+
+def _fields(
+    design: CircPatchDesign, f: float, E0: float, theta: np.ndarray, phi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # The far_fields formulas on angles already checked, one Bessel pass
     k0 = wavenumber(f)
-    u = k0 * design.a_eff * np.sin(theta_arr)
+    u = k0 * design.a_eff * np.sin(theta)
     j0, j2 = bessel_j_rows((0, 2), u)
     pref = E0 * design.substrate.h * k0 * design.a_eff / 2.0
-    e_theta = np.abs(pref * np.cos(phi_arr) * (j0 - j2))
-    e_phi = np.abs(pref * np.cos(theta_arr) * np.sin(phi_arr) * (j0 + j2))
+    e_theta = np.abs(pref * np.cos(phi) * (j0 - j2))
+    e_phi = np.abs(pref * np.cos(theta) * np.sin(phi) * (j0 + j2))
     return e_theta, e_phi
 
 
@@ -422,20 +437,65 @@ _GL_SIN = np.sin(_GL_THETA)
 _GL_COS2 = np.cos(_GL_THETA) ** 2
 
 
-def directivity(design: CircPatchDesign, f: float) -> float:
-    """Broadside directivity of the modeled pattern (dimensionless).
+def _pattern_series(terms: int) -> tuple[float, ...]:
+    # Coefficients c_m of I(s) = sum_m c_m s^(2m), the pattern integral
+    # int_0^(pi/2) [(J0 - J2)^2 + cos^2(t) (J0 + J2)^2] sin(t) dt at
+    # u = s sin(t). In powers of u^2, J0 - J2 = 2 J1'(u) and
+    # J0 + J2 = 2 J1(u) / u have the coefficients (-1)^i (2i + 1) / (4^i i! (i + 1)!)
+    # and (-1)^i / (4^i i! (i + 1)!) (Abramowitz & Stegun 9.1.10). Over the
+    # common denominator 4^m m! (m + 2)!, the u^(2m) coefficients of their
+    # squares have the integer numerators s_m below and C(2m + 2, m + 1)
+    # (Vandermonde). The Wallis integrals of sin^(2m+1) and of
+    # cos^2 sin^(2m+1) over [0, pi/2] are 4^m m!^2 / (2m + 1)! and that over
+    # 2m + 3, so each c_m is a ratio of integers, kept as the nearest float.
+    coeffs = []
+    for m in range(terms):
+        s_m = sum((2 * i + 1) * (2 * m - 2 * i + 1) * math.comb(m, i) * math.comb(m + 2, i + 1)
+                  for i in range(m + 1))
+        num = (-1) ** m * math.factorial(m) * ((2 * m + 3) * s_m + math.comb(2 * m + 2, m + 1))
+        den = (2 * m + 3) * math.factorial(2 * m + 1) * math.factorial(m + 2)
+        coeffs.append(num / den)  # int / int rounds once
+    return tuple(coeffs)
 
-    D = 4 pi U(theta=0) / P_rad with the radiated power integrated from the
-    same pattern, so amplitude and reference distance cancel; tends to 3.0
-    as the disk becomes electrically small. The theta integral is a fixed
-    32-node Gauss-Legendre rule on [0, pi/2].
-    """
-    k0a = wavenumber(f) * design.a_eff
+
+# I as its power series in s^2 = (k0 a_eff)^2, summed by Horner's rule for
+# k0 a_eff <= 1.6; the first omitted term is below 1e-17 of I there. The
+# series alternates and its largest term grows with k0 a_eff (2.7 I at
+# 1.6), so the plain sum drifts past the Gauss-Legendre rule's ~5e-16 just
+# above 1.6, and the rule takes over there.
+_SERIES_MAX_K0A = 1.6
+_PATTERN_SERIES = _pattern_series(15)
+
+
+def _pattern_integral(k0a: float) -> float:
+    # I at k0 a_eff: the power series up to _SERIES_MAX_K0A, the
+    # Gauss-Legendre rule above
+    if k0a <= _SERIES_MAX_K0A:
+        s2 = k0a * k0a
+        total = 0.0
+        for c in reversed(_PATTERN_SERIES):
+            total = total * s2 + c
+        return total
     j0, j2 = bessel_j_rows((0, 2), k0a * _GL_SIN)
     integrand = ((j0 - j2) ** 2 + _GL_COS2 * (j0 + j2) ** 2) * _GL_SIN
     # an elementwise product and np.sum, not a BLAS dot, so the bits do
     # not depend on the BLAS build
-    return 4.0 / float(np.sum(_GL_WEIGHTS * integrand))
+    return float(np.sum(_GL_WEIGHTS * integrand))
+
+
+def directivity(design: CircPatchDesign, f: float) -> float:
+    """Broadside directivity of the modeled pattern (dimensionless).
+
+    D = 4 pi U(theta=0) / P_rad with the radiated power integrated from the
+    same pattern, so amplitude and reference distance cancel: D = 4 / I
+    with I the theta integral of the normalized pattern. Tends to 3.0 as
+    the disk becomes electrically small. For k0 a_eff <= 1.6 (a disk at
+    its own resonance on any substrate with eps_r >= 1.33), I is summed from
+    its exact power series in (k0 a_eff)^2, within 5e-16 of the exact D;
+    above, I is a fixed 32-node Gauss-Legendre rule on [0, pi/2], within
+    about 1e-15 up to 8 and 2e-14 up to 20.
+    """
+    return 4.0 / _pattern_integral(wavenumber(f) * design.a_eff)
 
 
 def efficiency(design: CircPatchDesign, f: float, t1_form: str = "printed") -> float:
@@ -449,6 +509,53 @@ def gain(design: CircPatchDesign, f: float, t1_form: str = "printed") -> float:
     return efficiency(design, f, t1_form) * directivity(design, f)
 
 
+# Steps below this would give more than 180,001 samples per cut.
+_MIN_STEP = math.radians(0.001)
+# The azimuths of the E and H planes, as a column against a row of theta
+_CUT_PHI = np.array([[0.0], [math.pi / 2]])
+
+
+def _half_cuts(
+    design: CircPatchDesign, f: float, step: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The angles theta = k * step >= 0 of a cut, with |E_theta| at phi = 0
+    # and |E_phi| at phi = pi/2 for E0 = 1, from one Bessel pass. The step
+    # is checked before any array is built.
+    if not 0.0 < step <= math.pi / 2 + 1e-12:
+        raise DomainError(
+            f"pattern step must lie in (0, 90] degrees, got {math.degrees(step)!r} degrees")
+    if step < _MIN_STEP:
+        raise DomainError(
+            f"pattern step must be at least 0.001 degrees (180,001 samples per cut), "
+            f"got {math.degrees(step)!r} degrees")
+    # n * step must stay within the upper hemisphere
+    n = int(round(math.pi / 2 / step))
+    while n * step > math.pi / 2 + 1e-12:
+        n -= 1
+    theta = np.arange(n + 1) * step
+    e_theta, e_phi = _fields(design, f, 1.0, theta, _CUT_PHI)
+    return theta, e_theta[0], e_phi[1]
+
+
+def _mirrored_db(theta: np.ndarray, mags: np.ndarray) -> list[tuple[float, float]]:
+    # dB relative to the theta = 0 sample, mirrored onto -theta; the cut is
+    # symmetric, so the negative half repeats the positive one.
+    # math.log10, not np.log10: the two can differ in the last bit
+    db = [20.0 * math.log10(rel) if rel > 0.0 else -math.inf
+          for rel in (mags / mags[0]).tolist()]
+    half = list(zip(theta.tolist(), db))
+    return [(-th, v) for th, v in half[:0:-1]] + half
+
+
+def pattern_cuts(
+    design: CircPatchDesign, f: float, step: float = math.pi / 180
+) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
+    """Both principal-plane cuts, ``(pattern_cut(.., "E", step),
+    pattern_cut(.., "H", step))``, from one Bessel pass."""
+    theta, e_mags, h_mags = _half_cuts(design, f, step)
+    return _mirrored_db(theta, e_mags), _mirrored_db(theta, h_mags)
+
+
 def pattern_cut(
     design: CircPatchDesign, f: float, plane: str, step: float = math.pi / 180
 ) -> list[tuple[float, float]]:
@@ -456,26 +563,16 @@ def pattern_cut(
 
     ``plane="E"`` is the |E_theta| cut in the phi = 0 plane, ``plane="H"``
     the |E_phi| cut in the phi = pi/2 plane. Theta runs over the multiples
-    of ``step`` (radians, at most pi/2) in [-pi/2, pi/2]: the outermost is
-    round(pi/2 / step) steps out, one fewer where that would pass pi/2.
-    Negative angles map to the mirrored azimuth. Nulls give -inf dB.
+    of ``step`` (radians, from 0.001 degrees to pi/2) in [-pi/2, pi/2]: the
+    outermost is round(pi/2 / step) steps out, one fewer where that would
+    pass pi/2. Negative angles map to the mirrored azimuth, so the fields
+    are evaluated on theta >= 0 and mirrored. Nulls give -inf dB. For both
+    planes, :func:`pattern_cuts` shares one Bessel pass.
     """
     if plane not in ("E", "H"):
         raise DomainError(f"plane must be 'E' or 'H', got {plane!r}")
-    if not 0.0 < step <= math.pi / 2 + 1e-12:
-        raise DomainError(
-            f"pattern step must lie in (0, 90] degrees, got {math.degrees(step)!r} degrees")
-    # n * step must stay within the theta bound of far_fields
-    n = int(round(math.pi / 2 / step))
-    while n * step > math.pi / 2 + 1e-12:
-        n -= 1
-    thetas = np.arange(-n, n + 1) * step
-    phi = 0.0 if plane == "E" else math.pi / 2
-    e_theta, e_phi = far_fields(design, f, 1.0, np.abs(thetas), phi)
-    mags = e_theta if plane == "E" else e_phi  # mags[n] is the theta = 0 sample
-    # math.log10, not np.log10: the two can differ in the last bit
-    return [(th, 20.0 * math.log10(rel) if rel > 0.0 else -math.inf)
-            for th, rel in zip(thetas.tolist(), (mags / mags[n]).tolist())]
+    theta, e_mags, h_mags = _half_cuts(design, f, step)
+    return _mirrored_db(theta, e_mags if plane == "E" else h_mags)
 
 
 def loss_report(

@@ -354,8 +354,7 @@ def cmd_pattern(job: JobConfig) -> dict:
         raise ConfigError("pattern cuts are only available for the circular geometry")
     design = _circ_design(job)
     step = math.radians(job.pattern_step_deg)
-    e_cut = circpatch.pattern_cut(design, job.f_design, "E", step)
-    h_cut = circpatch.pattern_cut(design, job.f_design, "H", step)
+    e_cut, h_cut = circpatch.pattern_cuts(design, job.f_design, step)
     clamp = response.RL_CLAMP_DB
     samples = Records(("theta_deg", "e_plane_db", "h_plane_db"), (
         [math.degrees(th) for th, _ in e_cut],

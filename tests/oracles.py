@@ -2,13 +2,15 @@
 
 These deliberately avoid the library's own evaluation paths: the Bessel
 oracle is a fixed-term ascending series over math.factorial, the root
-oracle is a standalone bisection, and the pattern-power oracle is a
-hand-rolled composite-trapezoid quadrature on the published grid.
+oracle is a standalone bisection, the pattern-power oracle is a
+hand-rolled composite-trapezoid quadrature on the published grid, and the
+pattern-integral oracle sums the Bessel series in exact rationals.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -85,3 +87,26 @@ def expand_records(obj):
 
 def central_difference(f, x: float, step: float = 1e-6) -> float:
     return (f(x + step) - f(x - step)) / (2.0 * step)
+
+
+def pattern_integral_series(s: float, terms: int = 32) -> Fraction:
+    """Partial sum, exact in rationals at the exact value of s, of the
+    pattern integral int_0^(pi/2) [(J0 - J2)^2 + cos^2 t (J0 + J2)^2] sin t dt
+    at u = s sin t: the ascending series of J0 and J2, their Cauchy squares
+    term by term, and the Wallis integrals W_m of sin^(2m+1) t, with
+    cos^2 t sin^(2m+1) t integrating to W_m - W_(m+1)."""
+    j0 = [Fraction((-1) ** k, 4**k * math.factorial(k) ** 2) for k in range(terms)]
+    j2 = [Fraction(0)] + [Fraction((-1) ** (k - 1), 4**k * math.factorial(k - 1)
+                                   * math.factorial(k + 1)) for k in range(1, terms)]
+    diff = [x - y for x, y in zip(j0, j2)]
+    plus = [x + y for x, y in zip(j0, j2)]
+    wallis = [Fraction(1)]
+    for m in range(1, terms + 1):
+        wallis.append(wallis[-1] * Fraction(2 * m, 2 * m + 1))
+    s2 = Fraction(s) ** 2
+    total = Fraction(0)
+    for m in range(terms):
+        sq_diff = sum(diff[i] * diff[m - i] for i in range(m + 1))
+        sq_plus = sum(plus[i] * plus[m - i] for i in range(m + 1))
+        total += (sq_diff * wallis[m] + sq_plus * (wallis[m] - wallis[m + 1])) * s2**m
+    return total

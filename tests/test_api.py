@@ -20,9 +20,9 @@ PUBLIC_NAMES = [
     "directivity", "effective_radius", "efficiency", "eps_effective", "extract_resonance",
     "far_fields", "feed_radius_for_match", "find_root_bracketed", "free_space_wavelength",
     "gain", "input_resistance_circ", "input_resistance_rect", "jprime_first_root",
-    "loss_report", "mismatch", "pattern_cut", "r_radiation_rect", "rect_resonator",
-    "resonant_frequency", "resonant_radius", "surface_wave_factor", "sweep", "synth_circ",
-    "synth_rect", "thickness_regime", "wavenumber",
+    "loss_report", "mismatch", "pattern_cut", "pattern_cuts", "r_radiation_rect",
+    "rect_resonator", "resonant_frequency", "resonant_radius", "surface_wave_factor", "sweep",
+    "synth_circ", "synth_rect", "thickness_regime", "wavenumber",
 ]
 
 

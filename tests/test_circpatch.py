@@ -20,6 +20,7 @@ from mmpatch.circpatch import (
     loss_report,
     p_radiated,
     pattern_cut,
+    pattern_cuts,
     r_conductor_circ_printed,
     r_dielectric_circ_printed,
     r_radiation_circ,
@@ -36,7 +37,7 @@ from mmpatch.errors import DomainError
 from mmpatch.media import C0, MU0, SubstrateSpec, surface_wave_factor, wavenumber
 from mmpatch.specfun import bessel_j, jprime_first_root
 
-from oracles import pattern_power
+from oracles import pattern_integral_series, pattern_power
 
 F0 = 39e9
 
@@ -422,8 +423,11 @@ class TestArrayKernelExact:
         return fast, fn()
 
     def test_directivity(self, design, monkeypatch):
+        # k0 a_eff = 4.5, 8 and 12: above the power-series range, where the
+        # Gauss-Legendre rule calls the kernel
+        k0a_at_f0 = wavenumber(F0) * design.a_eff
         fast, ref = self._both(monkeypatch, lambda: [
-            directivity(design, f) for f in (F0, 0.6 * F0, 1.7 * F0)])
+            directivity(design, F0 * k0a / k0a_at_f0) for k0a in (4.5, 8.0, 12.0)])
         assert fast == ref
 
     def test_pattern_cut(self, design, monkeypatch):
@@ -452,7 +456,8 @@ class TestDirectivityEfficiencyGain:
         tiny = CircPatchDesign(a=a_eff, a_eff=a_eff, rho0=None, substrate=sub, f_design=F0)
         assert directivity(tiny, F0) == pytest.approx(3.0, rel=1e-12)
 
-    @pytest.mark.parametrize("k0a", [1e-3, 0.1, 0.5, 1.0, 1.5, 1.84, 3.2, 5.0, 8.0, 12.0, 20.0])
+    @pytest.mark.parametrize("k0a", [1e-3, 0.1, 0.5, 1.0, 1.5, 1.59, 1.61, 1.84, 3.2, 3.99, 4.01,
+                                     5.0, 8.0, 12.0, 20.0])
     def test_matches_adaptive_quadrature(self, sub, k0a):
         def integrand(theta):
             u = k0a * math.sin(theta)
@@ -463,7 +468,32 @@ class TestDirectivityEfficiencyGain:
                                   limit=200)
         a_eff = k0a / wavenumber(F0)
         d = CircPatchDesign(a=a_eff, a_eff=a_eff, rho0=None, substrate=sub, f_design=F0)
-        assert directivity(d, F0) == pytest.approx(4.0 / power, rel=1e-12)
+        # the power series up to k0 a_eff = 1.6, Gauss-Legendre above
+        rel = 1e-14 if k0a <= 4.0 else 1e-12
+        assert directivity(d, F0) == pytest.approx(4.0 / power, rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("k0a", [0.5, 0.9, 1.2, 1.3, 1.4, 1.45, 1.5, 1.55, 1.58, 1.6])
+    def test_series_range_correct_to_rounding(self, sub, k0a):
+        # against the exact rational sum at the k0 a_eff the model sees; the
+        # alternating terms reach 2.7 times the sum at the 1.6 cutoff
+        a_eff = k0a / wavenumber(F0)
+        d = CircPatchDesign(a=a_eff, a_eff=a_eff, rho0=None, substrate=sub, f_design=F0)
+        exact = 4 / pattern_integral_series(wavenumber(F0) * a_eff)
+        assert directivity(d, F0) == pytest.approx(float(exact), rel=5e-16, abs=0.0)
+
+    def test_series_truncation_negligible_at_cutoff(self, sub):
+        terms = len(circpatch._PATTERN_SERIES)
+        first_omitted = circpatch._pattern_series(terms + 1)[-1]
+        s2 = circpatch._SERIES_MAX_K0A ** 2
+        a_eff = circpatch._SERIES_MAX_K0A / wavenumber(F0)
+        d = CircPatchDesign(a=a_eff, a_eff=a_eff, rho0=None, substrate=sub, f_design=F0)
+        assert abs(first_omitted) * s2**terms < 1e-17 * 4.0 / directivity(d, F0)
+
+    def test_series_starts_with_the_quartic_terms(self):
+        # the exact coefficients 4/3, -8/15, 11/105 of _radiation_series
+        for c, exact in zip(circpatch._PATTERN_SERIES,
+                                 (4.0 / 3.0, -8.0 / 15.0, 11.0 / 105.0)):
+            assert abs(c - exact) <= math.ulp(exact)
 
     def test_reference_directivity(self, design):
         assert directivity(design, F0) == pytest.approx(GOLD["D"], rel=1e-8)
@@ -546,10 +576,29 @@ class TestPatternCut:
         cut = pattern_cut(design, F0, "E", math.radians(step_deg))
         assert len(cut) == 2 * round(90.0 / step_deg) + 1
 
-    @pytest.mark.parametrize("step_deg", [100.0, 180.0, 0.0, -1.0, math.nan])
-    def test_bad_step_rejected(self, design, step_deg):
+    @pytest.mark.parametrize("step_deg", [100.0, 180.0, 0.0, -1.0, math.nan, math.inf, 1e-6,
+                                          math.degrees(1e-300)])
+    def test_bad_step_rejected(self, design, step_deg, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a theta grid was built for a refused step")
+
+        # refused before any array is built, so a tiny step allocates nothing
+        monkeypatch.setattr(np, "arange", no_grid)
         with pytest.raises(DomainError, match="pattern step"):
             pattern_cut(design, F0, "E", math.radians(step_deg))
+        with pytest.raises(DomainError, match="pattern step"):
+            pattern_cuts(design, F0, math.radians(step_deg))
+
+    def test_finest_step_accepted(self, design):
+        # 0.001 degrees, 180,001 samples per cut
+        assert len(pattern_cut(design, F0, "H", math.radians(0.001))) == 180_001
+
+    @pytest.mark.parametrize("step_deg", [1.0, 0.1, 0.7, 13.0, 90.0])
+    def test_both_cuts_equal_the_single_cuts(self, design, step_deg):
+        step = math.radians(step_deg)
+        e_cut, h_cut = pattern_cuts(design, F0, step)
+        assert e_cut == pattern_cut(design, F0, "E", step)
+        assert h_cut == pattern_cut(design, F0, "H", step)
 
 
 class TestLossReport:

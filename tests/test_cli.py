@@ -2,6 +2,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 from oracles import expand_records
 
@@ -238,6 +239,17 @@ class TestPattern:
         cfg.write_text(CIRC_CONFIG + "pattern.step_deg = 100\n")
         assert main(["pattern", "--config", str(cfg)]) == 2
         assert "pattern step must lie in (0, 90] degrees, got 100" in capsys.readouterr().err
+
+    def test_step_below_a_thousandth_degree_exits_2(self, tmp_path, capsys, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a theta grid was built for a refused step")
+
+        # refused before a 90-million-angle grid is built
+        monkeypatch.setattr(np, "arange", no_grid)
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(CIRC_CONFIG + "pattern.step_deg = 1e-6\n")
+        assert main(["pattern", "--config", str(cfg)]) == 2
+        assert "pattern step must be at least 0.001 degrees" in capsys.readouterr().err
 
 
 class TestExitCodeMapping:

@@ -8,12 +8,14 @@ a fixed seed and gets a resonant disk with fringing. Its line carries two
 hashes, each over the ``float.hex`` of the numbers below, in order.
 ``fields=`` hashes the fields and the budget:
 
-* the E and H ``pattern_cut`` at f0 with 1, 0.5 and 0.1 degree steps;
+* the E and H ``pattern_cut`` at f0 with 1, 0.5, 0.1, 0.7 and 13 degree
+  steps (the last two stop short of 90 degrees);
 * a 46 x 73 (theta, phi) ``far_fields`` grid at 1.1 f0 with E0 = 2.5;
 * ``radiated_power_from_pattern`` at f0;
 * every field of ``loss_report`` at f0 except D and G.
 
-``directivity=`` hashes the directivity quadrature:
+``directivity=`` hashes the directivity rule (the power series of the
+pattern integral up to k0 a_eff = 1.6, Gauss-Legendre above):
 
 * ``directivity`` at 0.8 f0, f0 and 1.25 f0;
 * D and G of that ``loss_report``.
@@ -48,7 +50,7 @@ DESIGNS = 200
 EPS_R = (2.2, 10.2)
 H_MM = (0.127, 0.8)
 F0_GHZ = (20.0, 60.0)
-CUT_STEPS_DEG = (1.0, 0.5, 0.1)
+CUT_STEPS_DEG = (1.0, 0.5, 0.1, 0.7, 13.0)
 
 
 def flat_floats(value):
