@@ -1,6 +1,12 @@
 """Frequency-domain response: the resonator model, sweeps, the one mismatch
 kernel (reflection magnitude, return loss, VSWR) that sweeps and scalar
 callers share, and resonance/bandwidth extraction.
+
+A sweep is a few in-place numpy passes over one grid that equals
+``np.linspace`` bit for bit; at the usual few hundred points its cost is the
+fixed cost of each numpy call, so every pass here is one call and no pass is
+computed and then discarded. The band search works on array methods and
+Python scalars.
 """
 
 from __future__ import annotations
@@ -17,6 +23,10 @@ from .errors import DomainError
 from .tables import Records, csv_text
 
 RL_CLAMP_DB = -100.0          # keeps CSV/JSON finite on a perfect match
+_GAMMA_FLOOR = 10.0 ** (RL_CLAMP_DB / 20.0)
+# Below this, r_res + z_ref keeps every term of numpy's complex division
+# (z - z_ref) / (z + z_ref) finite over a sweep, since |z| <= r_res.
+_HALF_MAX = sys.float_info.max / 2.0
 BANDWIDTH_CRITERION_DB = -10.0
 
 CSV_HEADER = "f_hz,r_in_ohm,x_in_ohm,gamma_mag,rl_db,vswr"
@@ -45,6 +55,10 @@ class SweepSpec:
     reference_impedance: float = 50.0
 
     def __post_init__(self) -> None:
+        # a float, str or bool count is refused before the grid sees it:
+        # np.arange(401.5) would silently give 402 samples
+        if isinstance(self.points, bool) or not isinstance(self.points, (int, np.integer)):
+            raise DomainError(f"sweep points must be an integer, got {self.points!r}")
         if not _positive(self.f_start):
             raise DomainError(f"sweep start must be finite and > 0, got {self.f_start}")
         if not self.f_start < self.f_stop < math.inf:
@@ -116,18 +130,31 @@ def mismatch(z, z_ref: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     |Gamma| is capped at 1, its bound for Re z >= 0, against rounding on
     near-reactive loads. The return loss is floored at RL_CLAMP_DB, so a
     perfect match reads exactly -100 dB, and the VSWR is +inf at total
-    reflection. z_ref must be a finite, positive, normal float.
+    reflection (and for a NaN |Gamma|). z_ref must be a finite, positive,
+    normal float. A scalar z gives three ``np.float64``; an array z gives
+    three float arrays of its shape.
+
+    One pass of in-place numpy calls over z raveled to 1-d serves both
+    cases; the VSWR divides only where |Gamma| < 1, into an inf-filled
+    output.
     """
     check_reference(z_ref)
     # numpy arithmetic for scalars too; a real z stays real, since real
     # division is exact where numpy's complex division may be off by an ulp
     z = np.asarray(z)
-    gmag = np.minimum(np.abs((z - z_ref) / (z + z_ref)), 1.0)
-    floor = 10.0 ** (RL_CLAMP_DB / 20.0)
-    rl = 20.0 * np.log10(np.maximum(gmag, floor))
-    with np.errstate(divide="ignore"):
-        vs = np.where(gmag < 1.0, (1.0 + gmag) / (1.0 - gmag), np.inf)
-    return gmag, rl, vs
+    shape = z.shape
+    z = z.ravel()
+    g = z - z_ref
+    g /= z + z_ref
+    gmag = np.abs(g)
+    np.minimum(gmag, 1.0, out=gmag)
+    rl = np.maximum(gmag, _GAMMA_FLOOR)
+    np.log10(rl, out=rl)
+    rl *= 20.0
+    vs = np.empty_like(gmag)
+    vs.fill(np.inf)
+    np.divide(1.0 + gmag, 1.0 - gmag, out=vs, where=gmag < 1.0)
+    return gmag.reshape(shape)[()], rl.reshape(shape)[()], vs.reshape(shape)[()]
 
 
 def rect_resonator(
@@ -152,10 +179,42 @@ def circ_resonator(design: circpatch.CircPatchDesign,
 
 
 def sweep(model: ResonatorModel, spec: SweepSpec) -> FrequencyResponse:
-    """Uniform-grid frequency sweep; fully vectorized, hence deterministic."""
-    f = np.linspace(spec.f_start, spec.f_stop, spec.points)
-    nu = f / model.f_res - model.f_res / f
-    z = model.r_res / (1.0 + 1j * model.q_total * nu)
+    """Uniform-grid frequency sweep; fully vectorized, hence deterministic.
+
+    The float64 grid is the one ``np.linspace(f_start, f_stop, points)``
+    builds, formed as linspace forms it (``arange * step + f_start``, last
+    sample set to ``f_stop``); a step that underflows to zero takes
+    ``np.linspace`` itself, which divides first (numpy gh-5437). Nu and the
+    RLC impedance are formed in place, and :func:`mismatch` gives |Gamma|,
+    the return loss and the VSWR.
+
+    Two scalar checks refuse, with :class:`DomainError`, a model and spec
+    that would give NaN samples: a detuning that overflows (``f_res /
+    f_start`` or ``f_stop / f_res`` not finite), and ``r_res`` plus the
+    reference impedance at or above half the largest float, where the
+    complex division of the reflection overflows.
+    """
+    f_start, f_stop, f_res = float(spec.f_start), float(spec.f_stop), float(model.f_res)
+    if not (f_res / f_start < math.inf and f_stop / f_res < math.inf):
+        raise DomainError(
+            f"sweep detuning overflows: f_res {f_res} against [{f_start}, {f_stop}]")
+    if not model.r_res + spec.reference_impedance < _HALF_MAX:
+        raise DomainError("sweep reflection overflows: r_res + reference impedance "
+                          f"must be below {_HALF_MAX}")
+    n = spec.points
+    step = (f_stop - f_start) / (n - 1)
+    if step == 0.0:
+        f = np.linspace(f_start, f_stop, n)
+    else:
+        f = np.arange(n, dtype=float)
+        f *= step
+        f += f_start
+        f[-1] = f_stop
+    nu = f / f_res
+    nu -= f_res / f
+    z = 1j * model.q_total * nu
+    z += 1.0
+    np.divide(model.r_res, z, out=z)
     gmag, rl, vs = mismatch(z, spec.reference_impedance)
     return FrequencyResponse(
         f_hz=f, r_in_ohm=z.real, x_in_ohm=z.imag, gamma_mag=gmag,
@@ -169,10 +228,10 @@ def _parabolic_vertex(f: np.ndarray, y: np.ndarray, i: int) -> float:
     y0, y1, y2 = y[i - 1 : i + 2].tolist()
     denom = y0 - 2.0 * y1 + y2
     if denom <= 0.0:
-        return float(f[i])
+        return f.item(i)
     shift = 0.5 * (y0 - y2) / denom
-    step = float(f[i + 1] - f[i])
-    return float(f[i]) + shift * step
+    step = f.item(i + 1) - f.item(i)
+    return f.item(i) + shift * step
 
 
 def _crossing(f: np.ndarray, rl: np.ndarray, below: int, above: int, thr: float) -> float:
@@ -194,35 +253,36 @@ def extract_resonance(resp: FrequencyResponse) -> ResonanceReport:
     f = np.asarray(resp.f_hz)
     rl = np.asarray(resp.rl_db)
     n = len(f)
-    i_min = int(np.argmin(rl))
+    i_min = int(rl.argmin())
+    rl_min = rl.item(i_min)
     notes: list[str] = []
     q_loaded = None
     if i_min in (0, n - 1):
         notes.append("rl-min-at-sweep-edge")
-        f_res = float(f[i_min])
+        f_res = f.item(i_min)
     else:
         f_res = _parabolic_vertex(f, rl, i_min)
-        f_res = min(max(f_res, float(f[0])), float(f[-1]))
+        f_res = min(max(f_res, f.item(0)), f.item(-1))
 
     thr = BANDWIDTH_CRITERION_DB
-    if rl[i_min] > thr:
+    if rl_min > thr:
         notes.append("no-sample-below-threshold")
         bandwidth = 0.0
     else:
         # The band is the run of samples at or below the threshold around
         # i_min; its edges sit next to the nearest samples that are not.
-        above = np.flatnonzero(~(rl <= thr))
-        k_lo = int(np.searchsorted(above, i_min, side="left"))
-        k_hi = int(np.searchsorted(above, i_min, side="right"))
-        lo = int(above[k_lo - 1]) + 1 if k_lo > 0 else 0
-        hi = int(above[k_hi]) - 1 if k_hi < len(above) else n - 1
+        above = (~(rl <= thr)).nonzero()[0]
+        k_lo = int(above.searchsorted(i_min, side="left"))
+        k_hi = int(above.searchsorted(i_min, side="right"))
+        lo = above.item(k_lo - 1) + 1 if k_lo > 0 else 0
+        hi = above.item(k_hi) - 1 if k_hi < len(above) else n - 1
         if lo == 0:
-            f_lo = float(f[0])
+            f_lo = f.item(0)
             notes.append("band-truncated-at-sweep-start")
         else:
             f_lo = _crossing(f, rl, lo, lo - 1, thr)
         if hi == n - 1:
-            f_hi = float(f[-1])
+            f_hi = f.item(-1)
             notes.append("band-truncated-at-sweep-stop")
         else:
             f_hi = _crossing(f, rl, hi, hi + 1, thr)
@@ -232,7 +292,7 @@ def extract_resonance(resp: FrequencyResponse) -> ResonanceReport:
 
     return ResonanceReport(
         f_res=f_res,
-        rl_min_db=float(rl[i_min]),
+        rl_min_db=rl_min,
         vswr_at_res=float(resp.vswr[i_min]),
         bandwidth_hz=bandwidth,
         q_loaded=q_loaded,

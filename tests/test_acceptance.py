@@ -151,12 +151,12 @@ def test_c11_exactness_properties(circ_design):
     b = r_total_circ(circ_design, f_res)
     from mmpatch.media import surface_wave_factor
     _, t1 = surface_wave_factor(CIRC_SUB, f_res)
-    assert b.R_s == pytest.approx(t1 * b.R_r, rel=1e-14)
+    assert b.R_s == pytest.approx(t1 * b.R_r, rel=1e-14, abs=0.0)
     assert b.R_total == b.R_r + b.R_s + b.R_c + b.R_d
     e_r = efficiency(circ_design, f_res)
     assert 0.0 < e_r <= 1.0
     assert gain(circ_design, f_res) == pytest.approx(
-        e_r * directivity(circ_design, f_res), rel=1e-14)
+        e_r * directivity(circ_design, f_res), rel=1e-14, abs=0.0)
     resp = sweep(circ_resonator(circ_design), SweepSpec(37e9, 41e9, 201))
     assert np.all(resp.vswr >= 1.0)
     assert np.all(resp.rl_db <= 0.0)

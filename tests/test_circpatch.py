@@ -105,7 +105,7 @@ class TestGeometry:
     def test_resonant_frequency_without_fringing(self, sub):
         closed_form = J1P_FIRST_ROOT * C0 / (2.0 * math.pi * 1.21e-3 * math.sqrt(2.32))
         value = resonant_frequency(1.21e-3, sub, fringing=False)
-        assert value == pytest.approx(closed_form, rel=1e-14)
+        assert value == pytest.approx(closed_form, rel=1e-14, abs=0.0)
         assert value == pytest.approx(GOLD["f_res_1p21_nofringe"], rel=1e-12)
 
     def test_resonant_frequency_inverse_in_radius(self, sub):
@@ -129,13 +129,13 @@ class TestGeometry:
     def test_no_fringing_radius_closed_form(self, sub):
         a = resonant_radius(F0, sub, fringing=False)
         assert a == pytest.approx(
-            J1P_FIRST_ROOT * C0 / (2.0 * math.pi * F0 * math.sqrt(2.32)), rel=1e-14)
+            J1P_FIRST_ROOT * C0 / (2.0 * math.pi * F0 * math.sqrt(2.32)), rel=1e-14, abs=0.0)
 
     def test_cavity_field_wavenumbers(self, design):
         # at resonance the in-cavity wavenumber is the mode's, k11 = c / a_eff
         f_res = resonant_frequency(design.a_eff, design.substrate, fringing=False)
         k = wavenumber(f_res) * math.sqrt(design.substrate.eps_r)
-        assert k * design.a_eff == pytest.approx(J1P_FIRST_ROOT, rel=1e-15)
+        assert k * design.a_eff == pytest.approx(J1P_FIRST_ROOT, rel=1e-15, abs=0.0)
 
 
 class TestRadiatedPower:
@@ -144,7 +144,7 @@ class TestRadiatedPower:
 
     def test_quadratic_in_field(self, design):
         assert p_radiated(design, F0, 3.0) == pytest.approx(
-            9.0 * p_radiated(design, F0, 1.0), rel=1e-15)
+            9.0 * p_radiated(design, F0, 1.0), rel=1e-15, abs=0.0)
 
     def test_series_bracket_at_0p6(self, sub):
         # arithmetic oracle: 4/3 - 0.192 + 0.013577
@@ -199,7 +199,7 @@ class TestResistances:
         r_s = r_total_circ(design, F0).R_s
         _, t1 = surface_wave_factor(sub, F0)
         assert t1 == pytest.approx(GOLD["T1"], rel=1e-9)
-        assert r_s == pytest.approx(t1 * r_radiation_circ(design, F0), rel=1e-15)
+        assert r_s == pytest.approx(t1 * r_radiation_circ(design, F0), rel=1e-15, abs=0.0)
 
     def test_no_surface_wave_in_air(self):
         air = SubstrateSpec(eps_r=1.0, h=0.8e-3)
@@ -210,7 +210,7 @@ class TestResistances:
         b = r_total_circ(design, F0)
         ratio = b.R_s / b.R_r
         _, t1 = surface_wave_factor(sub, F0)
-        assert ratio == pytest.approx(t1, rel=1e-15)
+        assert ratio == pytest.approx(t1, rel=1e-15, abs=0.0)
 
     def test_conductor_and_dielectric_references(self, design):
         b = r_total_circ(design, F0)
@@ -505,7 +505,7 @@ class TestDirectivityEfficiencyGain:
 
     def test_gain_identity_and_reference(self, design):
         g = gain(design, F0)
-        assert g == pytest.approx(efficiency(design, F0) * directivity(design, F0), rel=1e-15)
+        assert g == pytest.approx(efficiency(design, F0) * directivity(design, F0), rel=1e-15, abs=0.0)
         assert g == pytest.approx(GOLD["G"], rel=1e-8)
         assert 10.0 * math.log10(g) == pytest.approx(4.76, abs=1.5)
 
@@ -604,7 +604,7 @@ class TestPatternCut:
 class TestLossReport:
     def test_report_consistency(self, design):
         rep = loss_report(design, F0)
-        assert rep.G == pytest.approx(rep.e_r * rep.D, rel=1e-15)
+        assert rep.G == pytest.approx(rep.e_r * rep.D, rel=1e-15, abs=0.0)
         assert rep.P_s == pytest.approx(GOLD["T1"] * rep.P_r, rel=1e-9)
         assert rep.breakdown.R_total == pytest.approx(GOLD["R_T"], rel=1e-5)
         assert rep.W_T == pytest.approx(GOLD["W_T"], rel=1e-5)

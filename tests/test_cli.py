@@ -156,7 +156,7 @@ class TestAnalyze:
         report = json.loads(out.read_text())
         b = report["breakdown"]
         assert b["R_total"] == pytest.approx(
-            b["R_r"] + b["R_s"] + b["R_c"] + b["R_d"], rel=1e-15)
+            b["R_r"] + b["R_s"] + b["R_c"] + b["R_d"], rel=1e-15, abs=0.0)
         assert report["r_in_ohm"] == pytest.approx(50.0, abs=1e-6)
 
     def test_circ_report_has_gain_in_db(self, tmp_path, circ_config):

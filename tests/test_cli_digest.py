@@ -15,7 +15,7 @@ def test_digest_covers_every_case(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 5 * 4 * 2 * 4 * 2
+    assert len(lines) == 6 * 4 * 2 * 4 * 2
     labels = [line.split(" exit=")[0] for line in lines]
     assert len(set(labels)) == len(labels)
     for line in lines:

@@ -273,12 +273,12 @@ class TestRadiationResistance:
         l_ef = effective_length(design)
         lam0 = free_space_wavelength(F0)
         assert r_radiation_rect(design, F0, "eq8-literal") == pytest.approx(
-            z0w * lam0 / (2.0 * math.pi * l_ef), rel=1e-14)
+            z0w * lam0 / (2.0 * math.pi * l_ef), rel=1e-14, abs=0.0)
 
     def test_calibrated_is_frozen_rescale(self, design):
         literal = r_radiation_rect(design, F0, "eq8-literal")
         calibrated = r_radiation_rect(design, F0, "calibrated")
-        assert calibrated == pytest.approx(RECT_CALIBRATION_SCALE * literal, rel=1e-15)
+        assert calibrated == pytest.approx(RECT_CALIBRATION_SCALE * literal, rel=1e-15, abs=0.0)
 
     def test_unknown_variant_rejected(self, design):
         with pytest.raises(ConfigError):
@@ -311,7 +311,7 @@ class TestInputResistance:
 
     def test_edge_feed_taper_is_unity(self, design):
         d = RectPatchDesign(design.L, design.W, 0.0, design.substrate, F0)
-        assert feed_taper(d, F0) == pytest.approx(1.0, rel=1e-15)
+        assert feed_taper(d, F0) == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
     def test_singular_feed_position_raises(self, sub):
         # inset + edge extension equal to half a wavelength makes the taper
@@ -332,7 +332,7 @@ class TestAnalyze:
 
     def test_surface_wave_ties_to_radiation(self, design):
         breakdown, derived, _ = analyze_rect(design, F0, "calibrated")
-        assert breakdown.R_s == pytest.approx(derived.T1 * breakdown.R_r, rel=1e-15)
+        assert breakdown.R_s == pytest.approx(derived.T1 * breakdown.R_r, rel=1e-15, abs=0.0)
 
     def test_all_terms_positive(self, design):
         for variant in ("eq8-literal", "calibrated"):
@@ -345,7 +345,7 @@ class TestAnalyze:
         der = derive_rect(design, F0)
         assert der.eps_ew == pytest.approx(GOLD["eps_ew"], rel=1e-12)
         assert der.lambda_d == pytest.approx(
-            free_space_wavelength(F0) / math.sqrt(4.7), rel=1e-14)
+            free_space_wavelength(F0) / math.sqrt(4.7), rel=1e-14, abs=0.0)
 
     def test_synthesized_designs_analyze_finitely(self):
         # eps_r in [2, 10], h/lambda0 in [0.05, 0.15]

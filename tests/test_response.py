@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmpatch.circpatch import resonator_terms_circ, synth_circ
@@ -15,6 +15,7 @@ from mmpatch.rectpatch import RectPatchDesign
 from mmpatch.response import (
     BANDWIDTH_CRITERION_DB,
     CSV_HEADER,
+    RL_CLAMP_DB,
     FrequencyResponse,
     ResonatorModel,
     SweepSpec,
@@ -86,6 +87,31 @@ class TestReflectionQuantities:
         assert gamma_mag == 1.0
         assert rl == 0.0
         assert vs == math.inf
+
+    @pytest.mark.parametrize("z,expected", [
+        (50.0, (0.0, -100.0, 1.0)),
+        (complex(50.0, 0.0), (0.0, -100.0, 1.0)),
+        (0.0, (1.0, 0.0, math.inf)),
+        (complex(0.0, 0.0), (1.0, 0.0, math.inf)),
+    ])
+    def test_scalar_gives_three_float64(self, z, expected):
+        # a perfect match and total reflection; the VSWR used to come back
+        # as a 0-d array from np.where while |Gamma| and RL were scalars
+        values = mismatch(z, 50.0)
+        assert [type(v) for v in values] == [np.float64] * 3
+        assert values == expected
+
+    def test_nan_reflection_reads_infinite_vswr(self):
+        with np.errstate(invalid="ignore"):
+            gamma_mag, rl, vs = mismatch(complex(math.nan, 0.0), 50.0)
+        assert math.isnan(gamma_mag) and math.isnan(rl)
+        assert vs == math.inf
+
+    def test_array_keeps_its_shape(self):
+        z = np.array([[50.0, 0.0], [25.0, 100.0]])
+        for column in mismatch(z, 50.0):
+            assert type(column) is np.ndarray and column.shape == (2, 2)
+        assert mismatch(z, 50.0)[2][0].tolist() == [1.0, math.inf]
 
     def test_vswr_return_loss_pairing(self):
         # a real load at 1.014 z_ref has VSWR 1.014, about -43.2 dB, within
@@ -194,6 +220,56 @@ class TestSweep:
         with pytest.raises(DomainError):
             SweepSpec(37e9, 41e9, 1)
 
+    def test_spec_rejects_float_points(self):
+        # np.arange(401.5) would give 402 samples
+        with pytest.raises(DomainError, match="integer"):
+            SweepSpec(37e9, 41e9, 401.5)
+
+    def test_spec_rejects_str_points(self):
+        with pytest.raises(DomainError, match="integer"):
+            SweepSpec(37e9, 41e9, "401")
+
+    def test_spec_rejects_bool_points(self):
+        with pytest.raises(DomainError, match="integer"):
+            SweepSpec(37e9, 41e9, True)
+
+    @pytest.mark.parametrize("points", [np.int64(5), np.int32(5), np.uint8(5)])
+    def test_spec_accepts_numpy_integer_points(self, model, points):
+        resp = sweep(model, SweepSpec(37e9, 41e9, points))
+        assert resp.f_hz.tobytes() == np.linspace(37e9, 41e9, 5).tobytes()
+
+    def test_refuses_overflowing_detuning(self):
+        # f_res / f is inf on this window, which gave NaN samples
+        with pytest.raises(DomainError, match="detuning"):
+            sweep(ResonatorModel(40e9, 60.0, 20.0), SweepSpec(1e-310, 2e-310, 401))
+        with pytest.raises(DomainError, match="detuning"):
+            sweep(ResonatorModel(1e-300, 60.0, 20.0), SweepSpec(1.0, 1e10, 3))
+
+    def test_refuses_overflowing_reflection(self):
+        # |z + z_ref| near the largest float overflows the complex division
+        model = ResonatorModel(2.125, sys.float_info.max, 1.5)
+        with pytest.raises(DomainError, match="reflection"):
+            sweep(model, SweepSpec(1.0, 2.0, 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[st.floats(0.0, math.inf, exclude_min=True, exclude_max=True)] * 6),
+           st.integers(2, 64))
+    def test_valid_input_gives_finite_samples_or_refusal(self, values, points):
+        f_res, r_res, q_total, f_a, f_b, z_ref = values
+        try:
+            model = ResonatorModel(f_res, r_res, q_total)
+            spec = SweepSpec(min(f_a, f_b), max(f_a, f_b), points, z_ref)
+            with np.errstate(over="ignore"):   # q * nu may overflow to an inf reactance
+                resp = sweep(model, spec)
+        except DomainError:
+            return
+        for name in _FIELDS:
+            column = getattr(resp, name)
+            if name == "vswr":   # +inf is the defined VSWR at total reflection
+                column = np.where(resp.gamma_mag == 1.0, 1.0, column)
+            assert np.isfinite(column).all(), name
+        extract_resonance(resp)
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0, -1.0])
     def test_spec_rejects_non_finite_and_non_positive(self, bad):
         for args in ((bad, 41e9), (37e9, bad)):
@@ -201,6 +277,94 @@ class TestSweep:
                 SweepSpec(*args, 11)
         with pytest.raises(DomainError):
             SweepSpec(37e9, 41e9, 11, reference_impedance=bad)
+
+
+_FIELDS = tuple(CSV_HEADER.split(","))
+
+
+def _reference_sweep(model, spec):
+    """Reference sweep: the np.linspace grid and the out-of-place mismatch
+    formulas, kept verbatim to pin the bits of the in-place pass."""
+    f = np.linspace(spec.f_start, spec.f_stop, spec.points)
+    nu = f / model.f_res - model.f_res / f
+    z = model.r_res / (1.0 + 1j * model.q_total * nu)
+    z_ref = spec.reference_impedance
+    gmag = np.minimum(np.abs((z - z_ref) / (z + z_ref)), 1.0)
+    floor = 10.0 ** (RL_CLAMP_DB / 20.0)
+    rl = 20.0 * np.log10(np.maximum(gmag, floor))
+    with np.errstate(divide="ignore"):
+        vs = np.where(gmag < 1.0, (1.0 + gmag) / (1.0 - gmag), np.inf)
+    return FrequencyResponse(
+        f_hz=f, r_in_ohm=z.real, x_in_ohm=z.imag, gamma_mag=gmag,
+        rl_db=rl, vswr=vs, reference_impedance=z_ref,
+    )
+
+
+def _powers_of_ten(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _sweep_cases(draw):
+    f_res = draw(_powers_of_ten(-3, 12))
+    f_start = f_res * draw(_powers_of_ten(-3, 0.5))
+    f_stop = f_start * (1.0 + draw(_powers_of_ten(-9, 2)))
+    model = (f_res, draw(_powers_of_ten(-3, 6)), draw(_powers_of_ten(-6, 8)))
+    spec = (f_start, f_stop, draw(st.integers(2, 600)), draw(_powers_of_ten(-3, 300)))
+    return model, spec
+
+
+class TestBitIdentity:
+    """The in-place sweep and mismatch against _reference_sweep, byte for
+    byte, and the sweep grid against np.linspace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sweep_cases())
+    @example(((39e9, 65.0, 40.0), (37e9, 41e9, 2, 50.0)))
+    @example(((39e9, 65.0, 40.0), (37e9, 41e9, 401, 1e-3)))
+    @example(((39e9, 65.0, 40.0), (37e9, 41e9, 401, 1e300)))
+    # r_res == z_ref with f_res on the grid: |Gamma| 0, RL at the clamp, VSWR 1
+    @example(((39e9, 50.0, 40.0), (37e9, 41e9, 401, 50.0)))
+    @example(((39e9, 65.0, 5e-324), (37e9, 41e9, 401, 50.0)))
+    @example(((39e9, 65.0, sys.float_info.max), (37e9, 41e9, 401, 50.0)))
+    # a step that underflows to zero takes the np.linspace fallback
+    @example(((1e-320, 65.0, 40.0), (5e-324, 1e-323, 401, 50.0)))
+    def test_sweep_matches_reference(self, case):
+        model, spec = ResonatorModel(*case[0]), SweepSpec(*case[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            resp = sweep(model, spec)
+            ref = _reference_sweep(model, spec)
+        for name in _FIELDS:
+            assert getattr(resp, name).tobytes() == getattr(ref, name).tobytes(), name
+        report = extract_resonance(resp)
+        assert report == extract_resonance(ref)
+        bandwidth, notes, has_q = _walk_band(ref.f_hz, ref.rl_db)
+        assert float.hex(report.bandwidth_hz) == float.hex(bandwidth)
+        assert tuple(n for n in report.notes if n != "rl-min-at-sweep-edge") == notes
+        assert (report.q_loaded is not None) == has_q
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, math.inf, exclude_min=True, exclude_max=True),
+           st.floats(0.0, math.inf, exclude_min=True, exclude_max=True),
+           st.integers(2, 2000))
+    @example(5e-324, 1e-323, 401)
+    @example(1.0, sys.float_info.max, 2)
+    def test_grid_is_linspace(self, f_a, f_b, points):
+        f_start, f_stop = min(f_a, f_b), max(f_a, f_b)
+        if f_start == f_stop:
+            return
+        f_res = math.sqrt(f_start) * math.sqrt(f_stop)
+        # k * step may round past the largest float at k = points - 1, in
+        # np.linspace as in sweep, before the last sample is set to f_stop
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            grid = np.linspace(f_start, f_stop, points)
+            try:
+                resp = sweep(ResonatorModel(f_res, 50.0, 1.0), SweepSpec(f_start, f_stop, points))
+            except DomainError:
+                # no f_res keeps both detuning ratios finite on so wide a window
+                assert f_stop / f_start == math.inf
+                return
+        assert resp.f_hz.tobytes() == grid.tobytes()
 
 
 class TestExtractResonance:

@@ -3,7 +3,8 @@
     python tools/cli_digest.py [--src DIR] > digests.txt
 
 Runs ``mmpatch.cli.main`` in process for every command (design, analyze,
-sweep, pattern) x format (json, csv) x config (two rectangular, three
+sweep, pattern) x format (json, csv) x config (three rectangular, one of
+them at a 1e300 ohm reference that reflects every sample totally, three
 circular, one of them with a 20,001-point sweep and 0.1 degree cuts) x
 setting (defaults, ``--t1-form corrected``, ``--zref 75``, the non-default
 model variant), once writing to stdout and once with ``--out``.
@@ -49,6 +50,17 @@ substrate.h_mm = 0.508
 substrate.tan_delta = 0.0009
 patch.feed_mm = 0.1
 sweep.points = 2001
+""",
+    # total reflection on every sample: |Gamma| 1, RL 0 dB, VSWR Infinity
+    "rect-reflect": """\
+geometry = rect
+f_ghz = 39.0
+substrate.eps_r = 4.7
+substrate.h_mm = 0.8
+patch.l_mm = 1.06
+patch.w_mm = 0.98
+patch.feed_mm = 0.05
+sweep.zref = 1e300
 """,
     "circ-ref": """\
 geometry = circ
