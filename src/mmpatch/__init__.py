@@ -49,10 +49,8 @@ from .rectpatch import (
     RectDerived,
     RectPatchDesign,
     analyze_rect,
-    derive_rect,
     eps_effective,
     input_resistance_rect,
-    r_radiation_rect,
     synth_rect,
 )
 from .response import (

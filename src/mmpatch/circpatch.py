@@ -388,16 +388,14 @@ def _fields(
     return e_theta, e_phi
 
 
-def radiated_power_from_pattern(
-    design: CircPatchDesign,
-    f: float,
-    E0: float = 1.0,
-    n_theta: int = 181,
-    n_phi: int = 361,
-) -> float:
-    """Hemispherical quadrature of the far-field power density (W)."""
-    theta = np.linspace(0.0, math.pi / 2, n_theta)
-    phi = np.linspace(0.0, 2.0 * math.pi, n_phi)
+_POWER_THETA = np.linspace(0.0, math.pi / 2, 181)
+_POWER_PHI = np.linspace(0.0, 2.0 * math.pi, 361)
+
+
+def radiated_power_from_pattern(design: CircPatchDesign, f: float, E0: float = 1.0) -> float:
+    """Hemispherical trapezoid quadrature of the far-field power density (W)
+    on a fixed (theta, phi) grid: 181 x 361 points, 0.5 by 1 degree."""
+    theta, phi = _POWER_THETA, _POWER_PHI
     e_theta, e_phi = far_fields(design, f, E0, theta[:, None], phi[None, :])
     integrand = (e_theta**2 + e_phi**2) * np.sin(theta)[:, None] / (2.0 * ETA0)
     inner = np.trapezoid(integrand, phi, axis=1)
@@ -597,17 +595,16 @@ def synth_circ(
     sub: SubstrateSpec,
     target_R: float = 50.0,
     fringing: bool = True,
-    placement_basis: str = "radiation",
     t1_form: str = "printed",
 ) -> CircPatchDesign:
     """Synthesize a circular patch resonant at f0 with the feed placed for
     target_R.
 
-    The default placement tapers the radiation resistance (the classical
-    rule); evaluate the realized match with
+    The placement tapers the radiation resistance (the classical rule);
+    evaluate the realized match with
     ``input_resistance_circ(design, f0, basis="total")``.
     """
     a = resonant_radius(f0, sub, fringing)
     design = circ_design_from_radius(a, sub, f0, fringing)
-    rho0 = feed_radius_for_match(design, f0, target_R, basis=placement_basis, t1_form=t1_form)
+    rho0 = feed_radius_for_match(design, f0, target_R, basis="radiation", t1_form=t1_form)
     return circ_design_from_radius(a, sub, f0, fringing, rho0=rho0)

@@ -243,7 +243,7 @@ def _circ_design(job: JobConfig) -> circpatch.CircPatchDesign:
             job.circ_a, job.substrate, job.f_design, fringing, rho0=job.circ_rho0)
     return circpatch.synth_circ(
         job.f_design, job.substrate, target_R=job.target_r,
-        fringing=fringing, placement_basis="radiation", t1_form=job.t1_form)
+        fringing=fringing, t1_form=job.t1_form)
 
 
 def _breakdown_dict(b: ResistanceBreakdown) -> dict:

@@ -1,12 +1,15 @@
 """Rectangular patch synthesis and input-resistance analysis on thick substrates.
 
-The resonant input resistance is decomposed into four series terms:
+One analysis pass per (design, f, variant, t1_form) decomposes the
+resonant input resistance into four series terms:
 
     R_in = R_r (radiation) + R_s (surface wave) + R_c (conductor) + R_d (dielectric)
 
 with the radiation term additionally tapered by the feed inset position.
 The surface-wave term is tied to the radiation term through the loss factor
-T1 returned by :func:`mmpatch.media.surface_wave_factor`.
+T1 returned by :func:`mmpatch.media.surface_wave_factor`. The pass has three
+readers: :func:`input_resistance_rect`, :func:`resonator_terms_rect` and
+:func:`analyze_rect`, whose :class:`RectDerived` holds every intermediate term.
 
 Two radiation-resistance model variants are exposed and must be selected
 explicitly:
@@ -132,69 +135,6 @@ def _z0_strip(eps_r: float, W: float, h: float) -> float:
     return ETA0 / (2.0 * math.sqrt(eps_r)) / denom
 
 
-def strip_impedance(sub: SubstrateSpec, W: float) -> float:
-    """Characteristic impedance of a zero-thickness strip of width W over the
-    substrate. Evaluate with ``replace(sub, eps_r=1.0)`` for the air-filled
-    variant."""
-    if not W > 0.0:
-        raise DomainError(f"strip width must be > 0, got {W}")
-    return _z0_strip(sub.eps_r, W, sub.h)
-
-
-def _geometry(design: RectPatchDesign) -> tuple[float, float, float, float, float]:
-    # eps_ew, Z0w, W_eq, L_ef, delta_L: the fringing terms; none depends on f
-    sub = design.substrate
-    L, W, h = design.L, design.W, sub.h
-    eew = eps_effective(sub, L)
-    z0w = _z0_strip(sub.eps_r, W, h)
-    w_eq = ETA0 * h / (z0w * math.sqrt(eew))
-    l_ef = L + 0.5 * (w_eq - W) * (eew + 0.9) / (eew - 0.299)
-    ratio = L / h
-    d_l = 0.412 * h * (eew + 0.9) / (eew - 0.299) * (ratio + 0.264) / (ratio + 0.813)
-    return eew, z0w, w_eq, l_ef, d_l
-
-
-def equivalent_width(design: RectPatchDesign) -> float:
-    """Parallel-plate width presenting the same impedance as the strip:
-    W_eq = eta0 * h / (Z0w * sqrt(eps_ew)). Always >= W because fringing
-    lowers the strip impedance below the parallel-plate value."""
-    return _geometry(design)[2]
-
-
-def effective_length(design: RectPatchDesign) -> float:
-    """Resonant length grown by the fringing-field extension on both edges."""
-    return _geometry(design)[3]
-
-
-def edge_extension(design: RectPatchDesign) -> float:
-    """Open-edge length extension delta_L, proportional to h."""
-    return _geometry(design)[4]
-
-
-def _losses(design: RectPatchDesign, f: float, q_r: float) -> tuple[float, float]:
-    # R_c, and R_d as R_c scaled by the dielectric-to-conductor power-loss ratio
-    sub = design.substrate
-    r_c = 0.00027 * (design.L / design.W) * q_r * q_r * math.sqrt(f / 1e9)
-    return r_c, r_c * (sub.tan_delta * sub.h * math.sqrt(math.pi * f * MU0 * sub.sigma))
-
-
-def _radiation(z0w: float, l_ef: float, f: float, variant: str) -> float:
-    if variant not in RECT_VARIANTS:
-        raise ConfigError(
-            f"unknown rectangular model variant {variant!r}; expected one of {RECT_VARIANTS}"
-        )
-    base = z0w * free_space_wavelength(f) / (2.0 * math.pi * l_ef)
-    if variant == "calibrated":
-        return RECT_CALIBRATION_SCALE * base
-    return base
-
-
-def r_radiation_rect(design: RectPatchDesign, f: float, variant: str) -> float:
-    """Resonant (edge) radiation resistance under the selected model variant."""
-    _, z0w, _, l_ef, _ = _geometry(design)
-    return _radiation(z0w, l_ef, f, variant)
-
-
 def _feed_factor_raw(x: float) -> float:
     # (1 - sin(2x)/sin(x)) / (1 - cos(2x)) = (1 - 2 cos x) / (2 sin^2 x).
     denom = 1.0 - math.cos(2.0 * x)
@@ -206,42 +146,40 @@ def _feed_factor_raw(x: float) -> float:
     return (1.0 - math.sin(2.0 * x) / math.sin(x)) / denom
 
 
-def _taper(f: float, a: float, d_l: float) -> float:
-    k0 = wavenumber(f)
-    return _feed_factor_raw(k0 * (a + d_l)) / _feed_factor_raw(k0 * d_l)
-
-
-def feed_taper(design: RectPatchDesign, f: float, a: float | None = None) -> float:
-    """Radiation-coupling taper of the feed inset, normalized to 1 at the
-    radiating edge and decreasing monotonically toward the patch center.
-
-    Raises SingularFeedError for insets where the taper expression is
-    singular (inset plus edge extension a multiple of half a wavelength).
-    """
-    if a is None:
-        a = design.feed_offset_a
-    return _taper(f, a, edge_extension(design))
-
-
 # Every term of the analysis chain at one (design, f, variant, t1_form).
-_RectPass = namedtuple(
-    "_RectPass", "eps_ew Z0w W_eq L_ef delta_L K1 T1 Q_r R_r R_s R_c R_d r_in"
-)
+_RectPass = namedtuple("_RectPass", "eps_ew Z0w W_eq L_ef delta_L K1 T1 Q_r R_r R_s R_c R_d r_in")
 
 
 def _rect_pass(design: RectPatchDesign, f: float, variant: str, t1_form: str) -> _RectPass:
-    k1, t1 = surface_wave_factor(design.substrate, f, t1_form)
-    geometry = eew, z0w, _, l_ef, d_l = _geometry(design)
-    q_r = q_radiation(design.substrate, f, eew)
-    r_c, r_d = _losses(design, f, q_r)
-    r_r = _radiation(z0w, l_ef, f, variant)
+    sub = design.substrate
+    L, W, h = design.L, design.W, sub.h
+    k1, t1 = surface_wave_factor(sub, f, t1_form)
+    # the fringing terms; none depends on f
+    eew = eps_effective(sub, L)
+    z0w = _z0_strip(sub.eps_r, W, h)
+    w_eq = ETA0 * h / (z0w * math.sqrt(eew))
+    l_ef = L + 0.5 * (w_eq - W) * (eew + 0.9) / (eew - 0.299)
+    ratio = L / h
+    d_l = 0.412 * h * (eew + 0.9) / (eew - 0.299) * (ratio + 0.264) / (ratio + 0.813)
+    q_r = q_radiation(sub, f, eew)
+    # R_d is R_c scaled by the dielectric-to-conductor power-loss ratio
+    r_c = 0.00027 * (L / W) * q_r * q_r * math.sqrt(f / 1e9)
+    r_d = r_c * (sub.tan_delta * h * math.sqrt(math.pi * f * MU0 * sub.sigma))
+    if variant not in RECT_VARIANTS:
+        raise ConfigError(f"unknown rectangular model variant {variant!r}; "
+                          f"expected one of {RECT_VARIANTS}")
+    r_r = z0w * free_space_wavelength(f) / (2.0 * math.pi * l_ef)
+    if variant == "calibrated":
+        r_r = RECT_CALIBRATION_SCALE * r_r
     r_s = t1 * r_r
-    # only the radiation term is tapered by the feed inset
-    r_in = r_r * _taper(f, design.feed_offset_a, d_l) + r_s + r_c + r_d
+    # only the radiation term is tapered, by 1 at the radiating edge
+    k0 = wavenumber(f)
+    taper = _feed_factor_raw(k0 * (design.feed_offset_a + d_l)) / _feed_factor_raw(k0 * d_l)
+    r_in = r_r * taper + r_s + r_c + r_d
     if not 0.0 < r_in < math.inf:
         # a negative feed taper (thick low-permittivity laminates) or an overflow
         raise DomainError(f"input resistance must be finite and > 0, got {r_in} ohm")
-    return _RectPass(*geometry, k1, t1, q_r, r_r, r_s, r_c, r_d, r_in)
+    return _RectPass(eew, z0w, w_eq, l_ef, d_l, k1, t1, q_r, r_r, r_s, r_c, r_d, r_in)
 
 
 def input_resistance_rect(
@@ -266,21 +204,6 @@ def resonator_terms_rect(
     return p.r_in, p.Q_r
 
 
-def _derived(design: RectPatchDesign, f: float, terms: tuple[float, ...]) -> RectDerived:
-    # terms opens with the first eight fields of RectDerived, as a _RectPass does
-    sub = design.substrate
-    z0a = _z0_strip(1.0, design.W, sub.h)
-    return RectDerived(*terms[:8], z0a, free_space_wavelength(f) / math.sqrt(sub.eps_r))
-
-
-def derive_rect(design: RectPatchDesign, f: float, t1_form: str = "printed") -> RectDerived:
-    """All intermediate analysis quantities for reporting."""
-    k1, t1 = surface_wave_factor(design.substrate, f, t1_form)
-    geometry = _geometry(design)
-    q_r = q_radiation(design.substrate, f, geometry[0])
-    return _derived(design, f, (*geometry, k1, t1, q_r))
-
-
 def analyze_rect(
     design: RectPatchDesign, f: float, variant: str, t1_form: str = "printed"
 ) -> tuple[ResistanceBreakdown, RectDerived, float]:
@@ -288,7 +211,9 @@ def analyze_rect(
     input resistance at the design's feed inset, with the surface-wave
     term from ``t1_form``; every term comes from one analysis pass."""
     p = _rect_pass(design, f, variant, t1_form)
-    breakdown = ResistanceBreakdown(
-        R_r=p.R_r, R_s=p.R_s, R_c=p.R_c, R_d=p.R_d, R_total=p.R_r + p.R_s + p.R_c + p.R_d
-    )
-    return breakdown, _derived(design, f, p), p.r_in
+    sub = design.substrate
+    # the pass holds the first eight fields of RectDerived, then R_r R_s R_c R_d
+    breakdown = ResistanceBreakdown(*p[8:12], R_total=p.R_r + p.R_s + p.R_c + p.R_d)
+    derived = RectDerived(*p[:8], _z0_strip(1.0, design.W, sub.h),
+                          free_space_wavelength(f) / math.sqrt(sub.eps_r))
+    return breakdown, derived, p.r_in

@@ -134,14 +134,23 @@ def mismatch(z, z_ref: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     normal float. A scalar z gives three ``np.float64``; an array z gives
     three float arrays of its shape.
 
-    One pass of in-place numpy calls over z raveled to 1-d serves both
-    cases; the VSWR divides only where |Gamma| < 1, into an inf-filled
-    output.
+    Where |z| + z_ref reaches half the largest float, z + z_ref would
+    overflow and read as a perfect match; |Gamma| is scale-free, so such a
+    z is taken at a quarter of its size, and of z_ref's.
     """
     check_reference(z_ref)
-    # numpy arithmetic for scalars too; a real z stays real, since real
-    # division is exact where numpy's complex division may be off by an ulp
     z = np.asarray(z)
+    big = np.abs(z) >= _HALF_MAX - z_ref
+    if big.any():
+        scale = np.where(big, 4.0, 1.0)
+        return _mismatch(z / scale, (z_ref / scale).ravel())
+    return _mismatch(z, z_ref)
+
+
+def _mismatch(z: np.ndarray, z_ref) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The one |Gamma| pass, for |z| + z_ref below half the largest float
+    # (z_ref: a float or one per element of z), over z raveled to 1-d. A real
+    # z stays real: real division is exact where complex may be an ulp off.
     shape = z.shape
     z = z.ravel()
     g = z - z_ref
@@ -185,8 +194,9 @@ def sweep(model: ResonatorModel, spec: SweepSpec) -> FrequencyResponse:
     builds, formed as linspace forms it (``arange * step + f_start``, last
     sample set to ``f_stop``); a step that underflows to zero takes
     ``np.linspace`` itself, which divides first (numpy gh-5437). Nu and the
-    RLC impedance are formed in place, and :func:`mismatch` gives |Gamma|,
-    the return loss and the VSWR.
+    RLC impedance are formed in place, and the pass of :func:`mismatch`
+    gives |Gamma|, the return loss and the VSWR; |z| <= r_res, so the
+    second check below is its overflow rule.
 
     Two scalar checks refuse, with :class:`DomainError`, a model and spec
     that would give NaN samples: a detuning that overflows (``f_res /
@@ -215,7 +225,7 @@ def sweep(model: ResonatorModel, spec: SweepSpec) -> FrequencyResponse:
     z = 1j * model.q_total * nu
     z += 1.0
     np.divide(model.r_res, z, out=z)
-    gmag, rl, vs = mismatch(z, spec.reference_impedance)
+    gmag, rl, vs = _mismatch(z, spec.reference_impedance)
     return FrequencyResponse(
         f_hz=f, r_in_ohm=z.real, x_in_ohm=z.imag, gamma_mag=gmag,
         rl_db=rl, vswr=vs, reference_impedance=spec.reference_impedance,

@@ -13,17 +13,10 @@ from mmpatch.rectpatch import (
     RECT_VARIANTS,
     RectPatchDesign,
     analyze_rect,
-    derive_rect,
-    edge_extension,
-    effective_length,
     eps_effective,
-    equivalent_width,
-    feed_taper,
     input_resistance_rect,
     q_radiation,
-    r_radiation_rect,
     resonator_terms_rect,
-    strip_impedance,
     synth_rect,
 )
 from mmpatch.response import rect_resonator
@@ -124,6 +117,27 @@ def _loss_terms(design, f=F0):
     return breakdown.R_c, breakdown.R_d
 
 
+def _derived(design, f=F0):
+    # the RectDerived record; no field depends on the variant or the feed
+    return analyze_rect(design, f, "calibrated")[1]
+
+
+def _strip(sub, W):
+    # Z0w of an edge-fed patch of width W: the substrate-filled strip impedance
+    return _derived(RectPatchDesign(L=1.06e-3, W=W, feed_offset_a=0.0,
+                                    substrate=sub, f_design=F0)).Z0w
+
+
+def _closed_form_taper(design, delta_L, f=F0):
+    # feed taper from its closed form g(x) = (1 - 2 cos x) / (2 sin^2 x),
+    # x = k0 (a + delta_L), normalized to 1 at the radiating edge
+    def g(x):
+        return (1.0 - 2.0 * math.cos(x)) / (2.0 * math.sin(x) ** 2)
+
+    k0 = wavenumber(f)
+    return g(k0 * (design.feed_offset_a + delta_L)) / g(k0 * delta_L)
+
+
 class TestLossResistances:
     def test_conductor_reference(self, design):
         assert _loss_terms(design)[0] == pytest.approx(GOLD["R_c"], rel=1e-12)
@@ -158,38 +172,45 @@ class TestStripImpedance:
         W = 0.8e-3
         expected = ETA0 / (math.pi * 2.0) * math.log(
             4.0 + math.sqrt(2.0 + 16.0))
-        assert strip_impedance(sub, W) == pytest.approx(expected, rel=1e-12)
+        assert _strip(sub, W) == pytest.approx(expected, rel=1e-12)
+        # the air-filled strip of any substrate is the same line
+        on_fr4 = RectPatchDesign(L=1.06e-3, W=W, feed_offset_a=0.0,
+                                 substrate=replace(sub, eps_r=4.7), f_design=F0)
+        assert _derived(on_fr4).Z0a == pytest.approx(expected, rel=1e-12)
 
     def test_decreasing_in_width(self, sub):
         widths = [0.3e-3, 0.8e-3, 2e-3, 4e-3, 8e-3]
-        z = [strip_impedance(sub, w) for w in widths]
+        z = [_strip(sub, w) for w in widths]
         assert z == sorted(z, reverse=True)
 
     def test_reference_values(self, sub):
-        assert strip_impedance(sub, 0.98e-3) == pytest.approx(GOLD["Z0w"], rel=1e-12)
-        air = replace(sub, eps_r=1.0)
-        assert strip_impedance(air, 0.98e-3) == pytest.approx(GOLD["Z0a"], rel=1e-12)
+        assert _strip(sub, 0.98e-3) == pytest.approx(GOLD["Z0w"], rel=1e-12)
+        assert _strip(replace(sub, eps_r=1.0), 0.98e-3) == pytest.approx(GOLD["Z0a"], rel=1e-12)
+        der = _derived(RectPatchDesign(L=1.06e-3, W=0.98e-3, feed_offset_a=0.05e-3,
+                                       substrate=sub, f_design=F0))
+        assert der.Z0w == pytest.approx(GOLD["Z0w"], rel=1e-12)
+        assert der.Z0a == pytest.approx(GOLD["Z0a"], rel=1e-12)
 
     @pytest.mark.parametrize("eps_r", [2.0, 2.32, 4.7, 6.0, 10.0])
     def test_branch_continuity_within_5_percent(self, eps_r):
         h = 0.8e-3
         sub = SubstrateSpec(eps_r=eps_r, h=h)
-        below = strip_impedance(sub, 3.3 * h)            # narrow-strip branch
-        above = strip_impedance(sub, 3.3 * h * (1 + 1e-9))  # wide-strip branch
+        below = _strip(sub, 3.3 * h)            # narrow-strip branch
+        above = _strip(sub, 3.3 * h * (1 + 1e-9))  # wide-strip branch
         assert above == pytest.approx(below, rel=0.05)
 
 
 class TestEquivalentWidthAndLength:
     def test_parallel_plate_identity(self, design):
         # W_eq * Z0w * sqrt(eps_ew) == eta0 * h by construction
-        w_eq = equivalent_width(design)
-        z0w = strip_impedance(design.substrate, design.W)
+        der = _derived(design)
         eew = eps_effective(design.substrate, design.L)
-        assert w_eq * z0w * math.sqrt(eew) == pytest.approx(
+        assert der.eps_ew == eew
+        assert der.W_eq * der.Z0w * math.sqrt(eew) == pytest.approx(
             ETA0 * design.substrate.h, rel=1e-12)
 
     def test_reference_value(self, design):
-        assert equivalent_width(design) == pytest.approx(GOLD["W_eq"], rel=1e-12)
+        assert _derived(design).W_eq == pytest.approx(GOLD["W_eq"], rel=1e-12)
 
     def test_equivalent_width_never_below_physical(self):
         # sweep oracle over W/h in [0.5, 10], eps_r in [2, 10]
@@ -200,20 +221,20 @@ class TestEquivalentWidthAndLength:
                 design = RectPatchDesign(L=W, W=W, feed_offset_a=0.0,
                                          substrate=SubstrateSpec(eps_r=eps_r, h=h),
                                          f_design=F0)
-                assert equivalent_width(design) >= W
+                assert _derived(design).W_eq >= W
 
     def test_effective_length_reference_and_bound(self, design):
-        l_ef = effective_length(design)
+        l_ef = _derived(design).L_ef
         assert l_ef == pytest.approx(GOLD["L_ef"], rel=1e-12)
         assert l_ef > design.L
 
 
 class TestEdgeExtension:
     def test_reference_value(self, design):
-        assert edge_extension(design) == pytest.approx(GOLD["delta_L"], rel=1e-12)
+        assert _derived(design).delta_L == pytest.approx(GOLD["delta_L"], rel=1e-12)
 
     def test_positive(self, design):
-        assert edge_extension(design) > 0.0
+        assert _derived(design).delta_L > 0.0
 
     def test_linear_in_h_at_fixed_ratios(self, design):
         # scaling h and L together keeps eps_ew and L/h fixed
@@ -221,7 +242,8 @@ class TestEdgeExtension:
             L=3.0 * design.L, W=design.W, feed_offset_a=0.0,
             substrate=replace(design.substrate, h=3.0 * design.substrate.h),
             f_design=F0)
-        assert edge_extension(scaled) == pytest.approx(3.0 * edge_extension(design), rel=1e-12)
+        assert _derived(scaled).delta_L == pytest.approx(3.0 * _derived(design).delta_L,
+                                                         rel=1e-12)
 
 
 class TestSurfaceWaveFactor:
@@ -265,30 +287,29 @@ class TestSurfaceWaveFactor:
 
 class TestRadiationResistance:
     def test_literal_reference(self, design):
-        assert r_radiation_rect(design, F0, "eq8-literal") == pytest.approx(
+        assert analyze_rect(design, F0, "eq8-literal")[0].R_r == pytest.approx(
             GOLD["R_r_literal"], rel=1e-12)
 
     def test_literal_structure(self, design):
-        z0w = strip_impedance(design.substrate, design.W)
-        l_ef = effective_length(design)
+        breakdown, der, _ = analyze_rect(design, F0, "eq8-literal")
         lam0 = free_space_wavelength(F0)
-        assert r_radiation_rect(design, F0, "eq8-literal") == pytest.approx(
-            z0w * lam0 / (2.0 * math.pi * l_ef), rel=1e-14, abs=0.0)
+        assert breakdown.R_r == pytest.approx(
+            der.Z0w * lam0 / (2.0 * math.pi * der.L_ef), rel=1e-14, abs=0.0)
 
     def test_calibrated_is_frozen_rescale(self, design):
-        literal = r_radiation_rect(design, F0, "eq8-literal")
-        calibrated = r_radiation_rect(design, F0, "calibrated")
+        literal = analyze_rect(design, F0, "eq8-literal")[0].R_r
+        calibrated = analyze_rect(design, F0, "calibrated")[0].R_r
         assert calibrated == pytest.approx(RECT_CALIBRATION_SCALE * literal, rel=1e-15, abs=0.0)
 
     def test_unknown_variant_rejected(self, design):
         with pytest.raises(ConfigError):
-            r_radiation_rect(design, F0, "nonsense-variant")
+            analyze_rect(design, F0, "nonsense-variant")
 
     def test_calibration_constant_rederived(self, design):
         # solve scale * R_base so the full chain returns 50 ohm at the feed
-        r_base = r_radiation_rect(design, F0, "eq8-literal")
+        r_base = analyze_rect(design, F0, "eq8-literal")[0].R_r
         _, t1 = surface_wave_factor(design.substrate, F0)
-        tau = feed_taper(design, F0)
+        tau = _closed_form_taper(design, _derived(design).delta_L)
         losses = sum(_loss_terms(design))
         scale = (50.0 - losses) / (r_base * (tau + t1))
         assert RECT_CALIBRATION_SCALE == pytest.approx(scale, rel=1e-9)
@@ -311,7 +332,11 @@ class TestInputResistance:
 
     def test_edge_feed_taper_is_unity(self, design):
         d = RectPatchDesign(design.L, design.W, 0.0, design.substrate, F0)
-        assert feed_taper(d, F0) == pytest.approx(1.0, rel=1e-15, abs=0.0)
+        assert _closed_form_taper(d, _derived(d).delta_L) == 1.0
+        # at the edge the taper leaves R_r as it is: r_in is the breakdown's sum
+        for variant in RECT_VARIANTS:
+            breakdown, _, r_in = analyze_rect(d, F0, variant)
+            assert r_in == pytest.approx(breakdown.R_total, rel=1e-15, abs=0.0)
 
     def test_singular_feed_position_raises(self, sub):
         # inset + edge extension equal to half a wavelength makes the taper
@@ -319,7 +344,7 @@ class TestInputResistance:
         lam0 = free_space_wavelength(F0)
         long_patch = RectPatchDesign(L=10.0 * lam0, W=0.98e-3, feed_offset_a=0.0,
                                      substrate=sub, f_design=F0)
-        a_bad = lam0 / 2.0 - edge_extension(long_patch)
+        a_bad = lam0 / 2.0 - _derived(long_patch).delta_L
         d = RectPatchDesign(long_patch.L, long_patch.W, a_bad, sub, F0)
         with pytest.raises(SingularFeedError):
             input_resistance_rect(d, F0, "calibrated")
@@ -342,7 +367,7 @@ class TestAnalyze:
             assert r_in > 0.0
 
     def test_derived_record_reference_values(self, design):
-        der = derive_rect(design, F0)
+        der = _derived(design)
         assert der.eps_ew == pytest.approx(GOLD["eps_ew"], rel=1e-12)
         assert der.lambda_d == pytest.approx(
             free_space_wavelength(F0) / math.sqrt(4.7), rel=1e-14, abs=0.0)
@@ -392,27 +417,33 @@ ONE_PASS_GRID = _one_pass_grid()
 class TestRectOnePass:
     @pytest.mark.parametrize("design,variant,t1_form", ONE_PASS_GRID)
     def test_breakdown_and_derived_equal_public_helpers(self, design, variant, t1_form):
-        sub, f = design.substrate, design.f_design
+        # every term against its formula over the pass's own inputs, exactly
+        sub, f, h = design.substrate, design.f_design, design.substrate.h
         breakdown, der, r_in = analyze_rect(design, f, variant, t1_form)
         k1, t1 = surface_wave_factor(sub, f, t1_form)
         eew = eps_effective(sub, design.L)
-        assert breakdown.R_r == r_radiation_rect(design, f, variant)
+        assert (der.eps_ew, der.Q_r, der.K1, der.T1) == (eew, q_radiation(sub, f, eew), k1, t1)
+        assert der.W_eq == ETA0 * h / (der.Z0w * math.sqrt(eew))
+        assert der.L_ef == design.L + 0.5 * (der.W_eq - design.W) * (eew + 0.9) / (eew - 0.299)
+        ratio = design.L / h
+        assert der.delta_L == (0.412 * h * (eew + 0.9) / (eew - 0.299)
+                               * (ratio + 0.264) / (ratio + 0.813))
+        assert der.lambda_d == free_space_wavelength(f) / math.sqrt(sub.eps_r)
+        r_r = der.Z0w * free_space_wavelength(f) / (2.0 * math.pi * der.L_ef)
+        if variant == "calibrated":
+            r_r = RECT_CALIBRATION_SCALE * r_r
+        assert breakdown.R_r == r_r
         assert breakdown.R_s == t1 * breakdown.R_r
-        q_r = q_radiation(sub, f, eew)
+        q_r = der.Q_r
         assert breakdown.R_c == 0.00027 * (design.L / design.W) * q_r * q_r * math.sqrt(f / 1e9)
         assert breakdown.R_d == breakdown.R_c * (
             sub.tan_delta * sub.h * math.sqrt(math.pi * f * MU0 * sub.sigma))
-        assert r_in == (breakdown.R_r * feed_taper(design, f)
-                        + breakdown.R_s + breakdown.R_c + breakdown.R_d)
-        assert der == derive_rect(design, f, t1_form)
-        assert (der.eps_ew, der.Q_r, der.K1, der.T1) == (eew, q_radiation(sub, f, eew), k1, t1)
-        assert der.Z0w == strip_impedance(sub, design.W)
-        assert der.Z0a == strip_impedance(replace(sub, eps_r=1.0), design.W)
-        assert der.W_eq == equivalent_width(design)
-        assert der.L_ef == effective_length(design)
-        assert der.delta_L == edge_extension(design)
+        assert r_in == pytest.approx(
+            breakdown.R_r * _closed_form_taper(design, der.delta_L, f)
+            + breakdown.R_s + breakdown.R_c + breakdown.R_d, rel=1e-9, abs=0.0)
         if sub.eps_r == 1.0:
             assert (der.K1, der.T1, breakdown.R_s) == (0.0, 0.0, 0.0)
+            assert der.Z0a == der.Z0w
 
     @pytest.mark.parametrize("design,variant,t1_form", ONE_PASS_GRID)
     def test_readers_agree_exactly(self, design, variant, t1_form):
@@ -429,25 +460,24 @@ class TestRectOnePass:
                 reader(design, F0, "nonsense-variant")
             with pytest.raises(ConfigError):
                 reader(design, F0, "calibrated", "other")
+            # the T1 form is checked before the variant
+            with pytest.raises(ConfigError, match="other"):
+                reader(design, F0, "nonsense-variant", "other")
         with pytest.raises(ConfigError):
             rect_resonator(design, "nonsense-variant")
         with pytest.raises(ConfigError):
             rect_resonator(design, "calibrated", "other")
-        with pytest.raises(ConfigError):
-            derive_rect(design, F0, "other")
 
-    def test_singular_inset_raises_but_derived_terms_do_not(self, sub):
+    def test_singular_inset_raises_from_every_reader(self, sub):
         lam0 = free_space_wavelength(F0)
         long_patch = RectPatchDesign(L=10.0 * lam0, W=0.98e-3, feed_offset_a=0.0,
                                      substrate=sub, f_design=F0)
-        d = replace(long_patch, feed_offset_a=lam0 / 2.0 - edge_extension(long_patch))
+        d = replace(long_patch, feed_offset_a=lam0 / 2.0 - _derived(long_patch).delta_L)
         for reader in (analyze_rect, input_resistance_rect, resonator_terms_rect):
             with pytest.raises(SingularFeedError):
                 reader(d, F0, "calibrated")
         with pytest.raises(SingularFeedError):
             rect_resonator(d, "calibrated")
-        # the derived quantities do not depend on the feed
-        assert derive_rect(d, F0) == derive_rect(long_patch, F0)
 
     def test_negative_feed_taper_raises_from_every_reader(self):
         # synthesized air patch at h = 0.12 lambda0 fed 0.1 L in: the taper is
@@ -456,7 +486,7 @@ class TestRectOnePass:
         air = SubstrateSpec(eps_r=1.0, h=0.12 * lam0, tan_delta=1e-3, sigma=5.8e7)
         edge_fed = synth_rect(F0, air)
         d = replace(edge_fed, feed_offset_a=0.1 * edge_fed.L)
-        assert feed_taper(d, F0) < 0.0
+        assert _closed_form_taper(d, _derived(edge_fed).delta_L) < 0.0
         for variant in RECT_VARIANTS:
             for reader in (analyze_rect, input_resistance_rect, resonator_terms_rect):
                 with pytest.raises(DomainError, match="input resistance"):
@@ -464,5 +494,3 @@ class TestRectOnePass:
             with pytest.raises(DomainError):
                 rect_resonator(d, variant)
         assert input_resistance_rect(edge_fed, F0, "calibrated") > 0.0
-        # the derived quantities do not depend on the feed
-        assert derive_rect(d, F0) == derive_rect(edge_fed, F0)

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,31 @@ class TestReflectionQuantities:
         # |Gamma| of 220j against 1e6 rounds to 1 + 2**-52 unless capped at 1
         gamma_mag, rl, vs = mismatch(220j, 1e6)
         assert (gamma_mag, rl, vs) == (1.0, 0.0, math.inf)
+
+    def test_overflowing_load_keeps_its_reflection(self):
+        # z + z_ref overflows for these loads: the sum read as inf gave
+        # |Gamma| 0, RL -100 dB and VSWR 1 (a perfect match) with an overflow
+        # warning; 1.5e308 against 1.7e308 truly reflects 0.2 / 3.2 = 0.0625
+        z_ref, z_c = 1.7e308, complex(1.5e308, 1e308)
+        gamma_c = abs(complex(-0.2, 1.0) / complex(3.2, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            real = mismatch(1.5e308, z_ref)
+            cplx = mismatch(z_c, z_ref)
+            grid = mismatch(np.array([[50.0, 1.5e308], [z_c, z_ref]]), z_ref)
+            mixed = mismatch(np.array([75.0, 1e308]), 50.0)
+        assert real == (pytest.approx(0.0625, rel=1e-15, abs=0.0),
+                        pytest.approx(20.0 * math.log10(0.0625), rel=1e-15, abs=0.0),
+                        pytest.approx(17.0 / 15.0, rel=1e-15, abs=0.0))
+        assert cplx[0] == pytest.approx(gamma_c, rel=1e-14, abs=0.0)
+        assert cplx[2] == pytest.approx((1.0 + gamma_c) / (1.0 - gamma_c), rel=1e-14, abs=0.0)
+        assert grid[0].shape == (2, 2)
+        assert grid[0].ravel().tolist() == pytest.approx([1.0, 0.0625, gamma_c, 0.0],
+                                                         rel=1e-14, abs=0.0)
+        assert grid[2][1, 1] == 1.0
+        # a load that does not overflow keeps the bits it has on its own
+        assert [v[0] for v in mixed] == list(mismatch(75.0, 50.0))
+        assert (mixed[0][1], mixed[2][1]) == (1.0, math.inf)
 
     @settings(max_examples=300, deadline=None)
     @given(
