@@ -372,19 +372,11 @@ def far_fields(
         raise DomainError("theta and phi must be finite")
     if np.any(theta_arr < 0.0) or np.any(theta_arr > math.pi / 2 + 1e-12):
         raise DomainError("theta must lie in the upper hemisphere [0, pi/2]")
-    return _fields(design, f, E0, theta_arr, phi_arr)
-
-
-def _fields(
-    design: CircPatchDesign, f: float, E0: float, theta: np.ndarray, phi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    # The far_fields formulas on angles already checked, one Bessel pass
     k0 = wavenumber(f)
-    u = k0 * design.a_eff * np.sin(theta)
-    j0, j2 = bessel_j_rows((0, 2), u)
+    j0, j2 = bessel_j_rows((0, 2), k0 * design.a_eff * np.sin(theta_arr))
     pref = E0 * design.substrate.h * k0 * design.a_eff / 2.0
-    e_theta = np.abs(pref * np.cos(phi) * (j0 - j2))
-    e_phi = np.abs(pref * np.cos(theta) * np.sin(phi) * (j0 + j2))
+    e_theta = np.abs(pref * np.cos(phi_arr) * (j0 - j2))
+    e_phi = np.abs(pref * np.cos(theta_arr) * np.sin(phi_arr) * (j0 + j2))
     return e_theta, e_phi
 
 
@@ -509,8 +501,6 @@ def gain(design: CircPatchDesign, f: float, t1_form: str = "printed") -> float:
 
 # Steps below this would give more than 180,001 samples per cut.
 _MIN_STEP = math.radians(0.001)
-# The azimuths of the E and H planes, as a column against a row of theta
-_CUT_PHI = np.array([[0.0], [math.pi / 2]])
 
 
 def _half_cuts(
@@ -518,7 +508,8 @@ def _half_cuts(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # The angles theta = k * step >= 0 of a cut, with |E_theta| at phi = 0
     # and |E_phi| at phi = pi/2 for E0 = 1, from one Bessel pass. The step
-    # is checked before any array is built.
+    # is checked before any array is built. The planes are the far_fields
+    # products with cos(0) = sin(pi/2) = 1.0 left out, which changes no bit.
     if not 0.0 < step <= math.pi / 2 + 1e-12:
         raise DomainError(
             f"pattern step must lie in (0, 90] degrees, got {math.degrees(step)!r} degrees")
@@ -531,18 +522,25 @@ def _half_cuts(
     while n * step > math.pi / 2 + 1e-12:
         n -= 1
     theta = np.arange(n + 1) * step
-    e_theta, e_phi = _fields(design, f, 1.0, theta, _CUT_PHI)
-    return theta, e_theta[0], e_phi[1]
+    k0 = wavenumber(f)
+    j0, j2 = bessel_j_rows((0, 2), k0 * design.a_eff * np.sin(theta))
+    pref = design.substrate.h * k0 * design.a_eff / 2.0
+    return theta, np.abs(pref * (j0 - j2)), np.abs(pref * np.cos(theta) * (j0 + j2))
 
 
-def _mirrored_db(theta: np.ndarray, mags: np.ndarray) -> list[tuple[float, float]]:
-    # dB relative to the theta = 0 sample, mirrored onto -theta; the cut is
-    # symmetric, so the negative half repeats the positive one.
+def _cut_angles(theta: np.ndarray) -> list[float]:
+    # The cut's angles: theta >= 0 mirrored onto -theta, then theta itself
+    half = theta.tolist()
+    return [-th for th in half[:0:-1]] + half
+
+
+def _mirrored_db(angles: list[float], mags: np.ndarray) -> list[tuple[float, float]]:
+    # dB relative to the theta = 0 sample, paired with the _cut_angles; the
+    # cut is symmetric, so the negative half repeats the positive one.
     # math.log10, not np.log10: the two can differ in the last bit
     db = [20.0 * math.log10(rel) if rel > 0.0 else -math.inf
           for rel in (mags / mags[0]).tolist()]
-    half = list(zip(theta.tolist(), db))
-    return [(-th, v) for th, v in half[:0:-1]] + half
+    return list(zip(angles, db[:0:-1] + db))
 
 
 def pattern_cuts(
@@ -551,7 +549,8 @@ def pattern_cuts(
     """Both principal-plane cuts, ``(pattern_cut(.., "E", step),
     pattern_cut(.., "H", step))``, from one Bessel pass."""
     theta, e_mags, h_mags = _half_cuts(design, f, step)
-    return _mirrored_db(theta, e_mags), _mirrored_db(theta, h_mags)
+    angles = _cut_angles(theta)
+    return _mirrored_db(angles, e_mags), _mirrored_db(angles, h_mags)
 
 
 def pattern_cut(
@@ -570,7 +569,7 @@ def pattern_cut(
     if plane not in ("E", "H"):
         raise DomainError(f"plane must be 'E' or 'H', got {plane!r}")
     theta, e_mags, h_mags = _half_cuts(design, f, step)
-    return _mirrored_db(theta, e_mags if plane == "E" else h_mags)
+    return _mirrored_db(_cut_angles(theta), e_mags if plane == "E" else h_mags)
 
 
 def loss_report(

@@ -11,6 +11,7 @@ Python scalars.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ _GAMMA_FLOOR = 10.0 ** (RL_CLAMP_DB / 20.0)
 # Below this, r_res + z_ref keeps every term of numpy's complex division
 # (z - z_ref) / (z + z_ref) finite over a sweep, since |z| <= r_res.
 _HALF_MAX = sys.float_info.max / 2.0
+_NO_GUARD = contextlib.nullcontext()  # reusable; sweep's errstate stand-in
 BANDWIDTH_CRITERION_DB = -10.0
 
 CSV_HEADER = "f_hz,r_in_ohm,x_in_ohm,gamma_mag,rl_db,vswr"
@@ -136,14 +138,20 @@ def mismatch(z, z_ref: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Where |z| + z_ref reaches half the largest float, z + z_ref would
     overflow and read as a perfect match; |Gamma| is scale-free, so such a
-    z is taken at a quarter of its size, and of z_ref's.
+    z is taken at a quarter of its size, and of z_ref's. An infinite z
+    (either part infinite) is the open circuit: |Gamma| 1, RL 0 dB and VSWR
+    +inf, its limit from every direction.
     """
     check_reference(z_ref)
     z = np.asarray(z)
     big = np.abs(z) >= _HALF_MAX - z_ref
     if big.any():
         scale = np.where(big, 4.0, 1.0)
-        return _mismatch(z / scale, (z_ref / scale).ravel())
+        # inf / inf would give a NaN |Gamma|: an open circuit is taken as
+        # z = 1 against a zero reference, whose Gamma is exactly 1
+        open_circuit = np.isinf(z)
+        return _mismatch(np.where(open_circuit, 1.0, z) / scale,
+                         np.where(open_circuit, 0.0, z_ref / scale).ravel())
     return _mismatch(z, z_ref)
 
 
@@ -203,9 +211,17 @@ def sweep(model: ResonatorModel, spec: SweepSpec) -> FrequencyResponse:
     f_start`` or ``f_stop / f_res`` not finite), and ``r_res`` plus the
     reference impedance at or above half the largest float, where the
     complex division of the reflection overflows.
+
+    Two overflows give the right samples and are let through without a
+    warning: ``q_total * nu`` past the largest float (the reactance reads
+    inf and z its limit 0), and the last grid sample's ``k * step``, which
+    is then set to ``f_stop``. Both are bounded by scalars first, and only
+    a sweep where one can happen (or with ``f_stop`` at half the largest
+    float or above) runs under ``np.errstate``.
     """
     f_start, f_stop, f_res = float(spec.f_start), float(spec.f_stop), float(model.f_res)
-    if not (f_res / f_start < math.inf and f_stop / f_res < math.inf):
+    down, up = f_res / f_start, f_stop / f_res
+    if not (down < math.inf and up < math.inf):
         raise DomainError(
             f"sweep detuning overflows: f_res {f_res} against [{f_start}, {f_stop}]")
     if not model.r_res + spec.reference_impedance < _HALF_MAX:
@@ -213,16 +229,22 @@ def sweep(model: ResonatorModel, spec: SweepSpec) -> FrequencyResponse:
                           f"must be below {_HALF_MAX}")
     n = spec.points
     step = (f_stop - f_start) / (n - 1)
-    if step == 0.0:
-        f = np.linspace(f_start, f_stop, n)
-    else:
-        f = np.arange(n, dtype=float)
-        f *= step
-        f += f_start
-        f[-1] = f_stop
-    nu = f / f_res
-    nu -= f_res / f
-    z = 1j * model.q_total * nu
+    # In monotone rounding |nu| <= max(down, up), so the Python float
+    # product below (which overflows quietly) bounds every q_total * nu; and
+    # k * step + f_start stays within a few ulps of f_stop.
+    q = float(model.q_total)
+    overflows = not (q * (down if down > up else up) < math.inf and f_stop < _HALF_MAX)
+    with np.errstate(over="ignore") if overflows else _NO_GUARD:
+        if step == 0.0:
+            f = np.linspace(f_start, f_stop, n)
+        else:
+            f = np.arange(n, dtype=float)
+            f *= step
+            f += f_start
+            f[-1] = f_stop
+        nu = f / f_res
+        nu -= f_res / f
+        z = 1j * q * nu
     z += 1.0
     np.divide(model.r_res, z, out=z)
     gmag, rl, vs = _mismatch(z, spec.reference_impedance)

@@ -10,14 +10,42 @@ Self-contained kernel: no scipy dependency. Two evaluation branches:
 :func:`bessel_j` evaluates one argument. :func:`bessel_j_rows` runs the
 same series for several orders over a whole numpy array in one loop: the
 rows (one per order) and elements advance together, each step doing the
-scalar operations in the scalar order, with the divisors k (k + n) of all
-steps and rows precomputed as exact floats. One ``live`` mask holds the
-elements whose scalar loop would still run; a step adds its term only to
-live totals and then clears the elements where the scalar stopping rule
-holds, so each total keeps the sum of its own stopping step, and the loop
-ends when no element is live. The result is therefore bit-identical to
-``bessel_j`` element by element; the rare elements past the series range
-go to the scalar Miller branch.
+scalar operations in the scalar order (``term *= hh / (k (k + n))``, then
+``total += term``) with the divisors k (k + n) as exact floats. Every step
+adds to every element. The scalar stopping rule is tested once per block
+of ``_BLOCK`` steps, and the loop ends at the first block end where it
+holds for every element. So an element whose scalar loop stopped at step
+K, with sum S, still takes the terms after K. They leave S's bits
+unchanged, for |x| <= 12. Let q_k = x^2 / (4 k (k + n)), the exact step
+ratio, which falls as k grows:
+
+* q_(K+1) < 1/2. Otherwise q_i >= 1/2 for every i <= K + 1, which for
+  |x| <= 12 needs K <= 7 and n <= 34. Then no term up to K is below
+  1e-15, and each is at most about twice the next, so |S| <= 257 |term_K|
+  and the stop rule, |term_K| < 1e-16 max(|S|, 1e-300), cannot hold.
+* So each term after K is at most half the one before, to within
+  rounding. If |S| >= 1e-300, the stop rule gives |term_K| < 1e-16 |S|,
+  and every later term is below 2^-54 |S|: 5.0e-17 |S| against
+  5.55e-17 |S|, which leaves room for the 2^-1075 error of a product
+  rounded in the subnormal range. Round to nearest returns S for S + t
+  whenever |t| < 2^-54 |S|, which is under half the gap from S to either
+  neighbour. A term that underflowed to zero stays zero, and of either
+  sign it adds nothing to a nonzero S.
+* Below the 1e-300 floor the rule is absolute, |term_K| < 1e-316. A later
+  nonzero term is added exactly in the subnormal range, so it changes a
+  subnormal S: J_80 at x = 0.0082 is such a case. The bound above still
+  holds for |S| >= 0.91e-300. An element that stopped below that ends
+  below 1e-300, since the later terms and their roundings move it by less
+  than 1e-314. So every element that ends below 1e-300 in magnitude is
+  summed again by the scalar loop; the zeros of J_n(0), n >= 1, are among
+  them.
+
+A stopped element keeps meeting the rule at every later block end: its
+term only shrinks, and its total is S or, below the floor, the rule's
+bound is 1e-316 anyway. So the block test passes exactly when every
+scalar loop has stopped, and the result is bit-identical to ``bessel_j``
+element by element. The rare elements past the series range go to the
+scalar Miller branch.
 
 Validated to better than 1e-10 absolute error for |x| <= 30, which covers
 every argument the patch models produce (their arguments stay below ~3).
@@ -36,6 +64,11 @@ from .errors import BracketError, ConvergenceError, DomainError
 _SERIES_CUTOFF = 12.0
 _MAX_BISECTIONS = 100
 _MAX_TERMS = 200  # series steps; |x| <= 12 stops well before
+# Series steps per stop test in bessel_j_rows. J0 and J2 stop by step 12 for
+# |x| <= 2, which covers every pattern cut of a disk at its own resonance
+# (k0 a_eff = 1.84 / sqrt(eps_r)), so a cut tests once.
+_BLOCK = 12
+_STEPS = np.arange(1.0, _MAX_TERMS + 1.0)[:, None, None]  # k, one per step
 
 
 def _check_order(n: int) -> None:
@@ -111,10 +144,14 @@ def bessel_j_rows(orders: tuple[int, ...], x: float | np.ndarray) -> np.ndarray:
     """J_n for each n of ``orders`` over an array of finite real arguments,
     shape ``(len(orders),) + np.shape(x)``: one row per order.
 
-    Element by element bit-identical to :func:`bessel_j`: one loop step of
-    the ascending series updates every row and element with the scalar
-    operations, and an element's sum is taken on the step where the scalar
-    stopping rule holds.
+    Element by element bit-identical to :func:`bessel_j`. Each step of the
+    ascending series updates every row and element with the scalar
+    operations; the scalar stopping rule is tested every ``_BLOCK`` steps,
+    and the loop ends when it holds everywhere. The terms an element takes
+    after its own stopping step are below 2^-54 of its sum, so they leave
+    it unchanged; a sum below the 1e-300 floor of the rule has no such
+    margin and is summed again by the scalar loop. The module docstring
+    gives the argument.
     """
     if not orders:
         raise DomainError("at least one Bessel order is required")
@@ -125,42 +162,45 @@ def bessel_j_rows(orders: tuple[int, ...], x: float | np.ndarray) -> np.ndarray:
     if not np.isfinite(flat).all():
         raise DomainError("Bessel arguments must be finite")
     mag = np.abs(flat)
-    in_series = mag <= _SERIES_CUTOFF
-    half = 0.5 * mag[in_series]
+    far = mag > _SERIES_CUTOFF
+    far_x = flat[far]
+    if far_x.size:
+        # the series runs on 0 there, which stops at once; the scalar Miller
+        # branch fills those elements below
+        mag[far] = 0.0
+    half = 0.5 * mag
     # leading terms (x/2)^n / n!, factor by factor as in the scalar loop
     lead = [np.ones_like(half)]
     for k in range(1, max(orders) + 1):
         lead.append(lead[-1] * (half / k))
-    term = np.stack([lead[n] for n in orders])
+    term = np.array([lead[n] for n in orders])
     total = term.copy()
-    # k (k + n) per step and row; exact small integers as floats
-    ks = np.arange(1.0, _MAX_TERMS + 1.0)[:, None, None]
-    div = ks * (ks + np.array(orders, dtype=float)[:, None])
+    order_col = np.array(orders, dtype=float)[:, None]
     hh = -(half * half)
-    # An element is live until the scalar stopping rule holds; its total is
-    # only added to while live, so it keeps the sum of its stopping step.
-    live = np.ones(term.shape, dtype=bool)
-    mag_term, floor = np.empty_like(term), np.empty_like(term)
-    for k in range(_MAX_TERMS):
-        term *= hh / div[k]
-        np.add(total, term, out=total, where=live)
-        # live &= |term| >= 1e-16 * max(|total|, 1e-300), the negated stop test
-        np.abs(total, out=floor)
+    for start in range(0, _MAX_TERMS, _BLOCK):
+        # the block's step ratios hh / (k (k + n)) in one division; the
+        # divisors are exact small integers as floats
+        k = _STEPS[start:start + _BLOCK]
+        for ratio in hh / (k * (k + order_col)):
+            term *= ratio
+            total += term
+        # the stop rule |term| < 1e-16 * max(|total|, 1e-300), everywhere
+        floor = np.abs(total)
         np.maximum(floor, 1e-300, out=floor)
         floor *= 1e-16
-        live &= np.greater_equal(np.abs(term, out=mag_term), floor)
-        if np.count_nonzero(live) == 0:
+        if (np.abs(term) < floor).all():
             break
-    out = np.empty((len(orders), flat.size))
-    out[:, in_series] = total
-    far = ~in_series
-    neg = in_series & (flat < 0.0)
-    for row, n in zip(out, orders):
-        row[far] = [bessel_j(n, float(v)) for v in flat[far]]
+    for r, i in zip(*np.nonzero(np.abs(total) < 1e-300)):
+        total[r, i] = _bessel_series(orders[r], float(mag[i]))
+    if any(n % 2 for n in orders):
+        neg = (flat < 0.0) & ~far
+    for row, n in zip(total, orders):
+        if far_x.size:
+            row[far] = [bessel_j(n, float(v)) for v in far_x]
         if n % 2:
             # J_n(-x) = (-1)^n J_n(x); bessel_j already signed the far elements.
             row[neg] = -row[neg]
-    return out.reshape((len(orders),) + arr.shape)
+    return total.reshape((len(orders),) + arr.shape)
 
 
 def bessel_j_prime(n: int, x: float) -> float:

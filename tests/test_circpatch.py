@@ -601,6 +601,23 @@ class TestPatternCut:
         assert h_cut == pattern_cut(design, F0, "H", step)
 
 
+class TestCutPlanes:
+    # _half_cuts forms the E plane as |pref (J0 - J2)| and the H plane as
+    # |pref cos(theta) (J0 + J2)|: the far_fields products at phi = 0 and
+    # phi = pi/2, where cos and sin are exactly 1.0, bit for bit.
+    @pytest.mark.parametrize("step_deg", [1.0, 0.1, 0.7, 13.0])
+    # k0 a_eff = 1.21, 1.93 and 3.63: within and above the 1.6 where the
+    # directivity rule changes
+    @pytest.mark.parametrize("f_scale", [1.0, 1.6, 3.0])
+    def test_planes_equal_far_fields(self, design, step_deg, f_scale):
+        f = f_scale * F0
+        theta, e_mags, h_mags = circpatch._half_cuts(design, f, math.radians(step_deg))
+        e_ref = far_fields(design, f, 1.0, theta, 0.0)[0]
+        h_ref = far_fields(design, f, 1.0, theta, math.pi / 2)[1]
+        assert e_mags.tobytes() == e_ref.tobytes()
+        assert h_mags.tobytes() == h_ref.tobytes()
+
+
 class TestLossReport:
     def test_report_consistency(self, design):
         rep = loss_report(design, F0)

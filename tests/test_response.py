@@ -175,6 +175,29 @@ class TestReflectionQuantities:
         assert [v[0] for v in mixed] == list(mismatch(75.0, 50.0))
         assert (mixed[0][1], mixed[2][1]) == (1.0, math.inf)
 
+    def test_infinite_load_is_an_open_circuit(self):
+        # inf / inf in the reflection gave |Gamma| NaN and RL NaN with an
+        # "invalid value" warning; the open circuit's limit is |Gamma| 1
+        open_circuit = (1.0, 0.0, math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in (math.inf, -math.inf, complex(math.inf, 1.0), complex(1.0, -math.inf)):
+                for z_ref in (50.0, 1.7e308):
+                    values = mismatch(z, z_ref)
+                    assert [type(v) for v in values] == [np.float64] * 3
+                    assert values == open_circuit
+            grid = mismatch(np.array([[75.0, math.inf], [complex(math.inf, 2.0), 1e308]]), 50.0)
+        assert [column.shape for column in grid] == [(2, 2)] * 3
+        assert [column[0, 0] for column in grid] == list(mismatch(75.0, 50.0))
+        for i, j in ((0, 1), (1, 0), (1, 1)):
+            assert tuple(column[i, j] for column in grid) == open_circuit
+
+    def test_nan_load_keeps_its_reading_beside_an_infinite_one(self):
+        with np.errstate(invalid="ignore"):
+            gamma_mag, rl, vs = mismatch(np.array([math.nan, math.inf]), 50.0)
+        assert math.isnan(gamma_mag[0]) and math.isnan(rl[0]) and vs[0] == math.inf
+        assert (gamma_mag[1], rl[1], vs[1]) == (1.0, 0.0, math.inf)
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.floats(0.0, 1e9),
@@ -271,6 +294,28 @@ class TestSweep:
         with pytest.raises(DomainError, match="detuning"):
             sweep(ResonatorModel(1e-300, 60.0, 20.0), SweepSpec(1.0, 1e10, 3))
 
+    def test_overflowing_reactance_is_quiet(self):
+        # q_total * nu passes the largest float from about 1.8e108 Hz on:
+        # the reactance reads inf and z its limit 0, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resp = sweep(ResonatorModel(1.0, 1.0, 1e200), SweepSpec(1.0, 1e150, 11))
+        assert resp.r_in_ohm[0] == 1.0 and (resp.r_in_ohm[1:] == 0.0).all()
+        assert (resp.gamma_mag[1:] == 1.0).all() and (resp.vswr[1:] == math.inf).all()
+
+    @pytest.mark.parametrize("points", [4, np.int64(4)])
+    def test_overflowing_last_grid_product_is_quiet(self, points):
+        # 3 * step rounds past the largest float; the last sample is f_stop
+        f_max = sys.float_info.max
+        assert 3 * ((f_max - 1.0) / 3) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resp = sweep(ResonatorModel(1e300, 50.0, 1.0), SweepSpec(1.0, f_max, points))
+        with np.errstate(over="ignore"):
+            grid = np.linspace(1.0, f_max, 4)
+        assert resp.f_hz.tobytes() == grid.tobytes()
+        assert resp.f_hz[-1] == f_max
+
     def test_refuses_overflowing_reflection(self):
         # |z + z_ref| near the largest float overflows the complex division
         model = ResonatorModel(2.125, sys.float_info.max, 1.5)
@@ -285,7 +330,8 @@ class TestSweep:
         try:
             model = ResonatorModel(f_res, r_res, q_total)
             spec = SweepSpec(min(f_a, f_b), max(f_a, f_b), points, z_ref)
-            with np.errstate(over="ignore"):   # q * nu may overflow to an inf reactance
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 resp = sweep(model, spec)
         except DomainError:
             return

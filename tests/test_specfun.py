@@ -202,6 +202,75 @@ class TestBesselRows:
             bessel_j_rows((1,), bad)
 
 
+def _ulp_neighbourhood(x, ulps=50):
+    # x and the ulps floats on either side of it
+    below = [x]
+    above = [x]
+    for _ in range(ulps):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.array(below[:0:-1] + above)
+
+
+_ZEROS_BELOW_12 = [(n, float(z)) for n in range(9) for z in special.jn_zeros(n, 5) if z < 12.0]
+_ALL_ORDERS = tuple(range(9))
+
+
+class TestBlockStop:
+    # The rows kernel adds every term to every element and tests the stop
+    # rule once per block of steps; the terms an element takes after its own
+    # stopping step must leave its bits as the scalar loop leaves them. The
+    # cases are where the margin is thinnest: sums near zero (cancellation),
+    # the largest series arguments (most steps, largest terms), and tiny or
+    # subnormal sums, where the rule's 1e-300 floor takes over.
+
+    @pytest.mark.parametrize("n,zero", _ZEROS_BELOW_12,
+                             ids=[f"J{n}-{z:.4f}" for n, z in _ZEROS_BELOW_12])
+    def test_near_every_zero_below_12(self, n, zero):
+        x = _ulp_neighbourhood(zero)
+        assert_same_bits(bessel_j_rows((n,), x)[0], scalar_loop(n, x))
+        assert_same_bits(bessel_j_rows((n,), -x)[0], scalar_loop(n, -x))
+        # with every other order in the same loop, which runs it longer
+        assert_same_bits(bessel_j_rows(_ALL_ORDERS, x)[n], scalar_loop(n, x))
+
+    def test_zero_neighbourhoods_cover_the_series_range(self):
+        # J0..J7 have 17 zeros below 12; the first zero of J8 is 12.23
+        assert len(_ZEROS_BELOW_12) == 17
+        assert {n for n, _ in _ZEROS_BELOW_12} == set(range(8))
+        assert float(special.jn_zeros(8, 1)[0]) > 12.0
+
+    @pytest.mark.parametrize("orders", [(0,), (2,), (8,), (0, 2), _ALL_ORDERS])
+    def test_just_under_12(self, orders):
+        x = _ulp_neighbourhood(12.0)[:51]
+        x = np.concatenate([x, 12.0 - np.logspace(-12, -1, 23), [11.5, 11.9, 11.99]])
+        for row, n in zip(bessel_j_rows(orders, x), orders):
+            assert_same_bits(row, scalar_loop(n, x))
+
+    @pytest.mark.parametrize("orders", [(n,) for n in _ALL_ORDERS] + [_ALL_ORDERS])
+    def test_tiny_arguments(self, orders):
+        # subnormal and tiny x, the edge where -(x/2)^2 underflows to zero
+        # (|x| near 3e-154), and leading terms (x/2)^n / n! around the
+        # floor and the subnormal range for every order up to 8
+        x = np.concatenate([
+            [5e-324, 1e-323, TINY / 3, TINY, 1e-300, 1e-200, 1e-160],
+            np.geomspace(1e-155, 1e-152, 31),
+            np.geomspace(1e-300, 1e-2, 150),
+        ])
+        x = np.concatenate([x, -x])
+        for row, n in zip(bessel_j_rows(orders, x), orders):
+            assert_same_bits(row, scalar_loop(n, x))
+
+    @pytest.mark.parametrize("n,lo,hi", [(75, 0.00437, 0.00439), (80, 0.0081, 0.0083)])
+    def test_subnormal_sums_of_high_orders(self, n, lo, hi):
+        # J_75 and J_80 are subnormal here, below the floor, and the terms
+        # after the stopping step are not all zero: added without the
+        # scalar loop's second pass, they move the last bits
+        x = np.linspace(lo, hi, 201)
+        out = bessel_j_rows((n,), x)[0]
+        assert (out < TINY).all()
+        assert_same_bits(out, scalar_loop(n, x))
+
+
 class TestScalarSeries:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])
     def test_hoisted_loop_equals_old_loop(self, n):
