@@ -1,4 +1,4 @@
-"""Bessel functions of the first kind, their derivatives, and bisection root finding.
+"""Bessel functions of the first kind, their derivatives, and bracketed root finding.
 
 Self-contained kernel: no scipy dependency. Two evaluation branches:
 
@@ -37,8 +37,8 @@ ratio, which falls as k grows:
   holds for |S| >= 0.91e-300. An element that stopped below that ends
   below 1e-300, since the later terms and their roundings move it by less
   than 1e-314. So every element that ends below 1e-300 in magnitude is
-  summed again by the scalar loop; the zeros of J_n(0), n >= 1, are among
-  them.
+  summed again by the scalar loop, except at x = 0: there every term
+  after the lead is +-0 and both loops give J_n(0) = +0.0 for n >= 1.
 
 A stopped element keeps meeting the rule at every later block end: its
 term only shrinks, and its total is S or, below the floor, the rule's
@@ -49,6 +49,14 @@ scalar Miller branch.
 
 Validated to better than 1e-10 absolute error for |x| <= 30, which covers
 every argument the patch models produce (their arguments stay below ~3).
+
+:func:`find_root_bracketed` is Brent's zeroin (Brent, *Algorithms for
+Minimization without Derivatives*, 1973, ch. 4) with an evaluation budget
+in the manner of ITP (Oliveira and Takahashi, ACM TOMS 47(1), 2020): at
+most four evaluations more than bisection would make, and it returns a
+point whose final sign-change bracket is at most ``tol`` wide. On the
+patch models' smooth residuals it needs about a quarter of bisection's
+evaluations.
 """
 
 from __future__ import annotations
@@ -62,7 +70,8 @@ import numpy as np
 from .errors import BracketError, ConvergenceError, DomainError
 
 _SERIES_CUTOFF = 12.0
-_MAX_BISECTIONS = 100
+_MAX_ITERATIONS = 100
+_SPARE_STEPS = 4  # root-search steps allowed beyond bisection's count
 _MAX_TERMS = 200  # series steps; |x| <= 12 stops well before
 # Series steps per stop test in bessel_j_rows. J0 and J2 stop by step 12 for
 # |x| <= 2, which covers every pattern cut of a disk at its own resonance
@@ -150,8 +159,8 @@ def bessel_j_rows(orders: tuple[int, ...], x: float | np.ndarray) -> np.ndarray:
     and the loop ends when it holds everywhere. The terms an element takes
     after its own stopping step are below 2^-54 of its sum, so they leave
     it unchanged; a sum below the 1e-300 floor of the rule has no such
-    margin and is summed again by the scalar loop. The module docstring
-    gives the argument.
+    margin and is summed again by the scalar loop, unless x = 0. The
+    module docstring gives the argument.
     """
     if not orders:
         raise DomainError("at least one Bessel order is required")
@@ -191,7 +200,8 @@ def bessel_j_rows(orders: tuple[int, ...], x: float | np.ndarray) -> np.ndarray:
         if (np.abs(term) < floor).all():
             break
     for r, i in zip(*np.nonzero(np.abs(total) < 1e-300)):
-        total[r, i] = _bessel_series(orders[r], float(mag[i]))
+        if mag[i]:
+            total[r, i] = _bessel_series(orders[r], float(mag[i]))
     if any(n % 2 for n in orders):
         neg = (flat < 0.0) & ~far
     for row, n in zip(total, orders):
@@ -225,42 +235,106 @@ class Bracket:
             raise DomainError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
 
 
+def _value(f: Callable[[float], float], x: float) -> float:
+    fx = f(x)
+    if fx != fx:
+        raise DomainError(f"root function returned nan at x={x!r}")
+    return fx
+
+
 def find_root_bracketed(
     f: Callable[[float], float], bracket: Bracket, tol: float = 1e-10
 ) -> float:
-    """Bisection root of ``f`` inside ``bracket``.
+    """Root of ``f`` inside ``bracket`` by Brent's method with a bisection
+    budget.
 
-    Deterministic and bracket-preserving. Returns a point of the original
-    interval with final bracket width <= tol.
+    Deterministic and bracket-preserving: every step keeps a sign change
+    between the best point b and the other end c, and the result is the b
+    of a final bracket at most ``tol`` wide, so it lies within ``tol`` of a
+    sign change of ``f``. Each step is Brent's zeroin step (inverse
+    quadratic or secant interpolation, under his safeguards, or a
+    bisection), with two more rules:
 
-    Raises BracketError if f has the same sign at both ends, and
-    ConvergenceError if the width tolerance is not reached within 100
-    bisections.
+    * the budget. Bisection needs ``ceil(log2(width / tol))`` evaluations;
+      the budget allows four more. A step interpolates only if
+      bisecting from the bracket it may leave would still end within the
+      budget, so no search takes more than the budget's evaluations plus
+      the two at the ends, where plain Brent can take far more on a
+      multiple root;
+    * only finite values are interpolated. An infinite value of ``f``
+      counts by its sign and makes the step a bisection.
+
+    Raises DomainError for ``tol <= 0`` or a nan value of ``f``,
+    BracketError if f has the same sign at both ends, and ConvergenceError
+    if the width tolerance is not reached within 100 iterations.
     """
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    lo, hi = bracket.lo, bracket.hi
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
-    for _ in range(_MAX_BISECTIONS):
-        if hi - lo <= tol:
-            return 0.5 * (lo + hi)
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
+    a, b = bracket.lo, bracket.hi
+    fa = _value(f, a)
+    fb = _value(f, b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa > 0.0) == (fb > 0.0):
+        raise BracketError(f"no sign change on [{a}, {b}]: f(lo)={fa}, f(hi)={fb}")
+    ratio = (b - a) / tol
+    mant, exp = math.frexp(ratio)  # ceil(log2(ratio)), exactly
+    bisections = exp - (mant == 0.5) if ratio < math.inf else _MAX_ITERATIONS
+    # The budget stops short of the cap, at the last step whose width the
+    # loop still tests. width * scale is the width that bisection would
+    # leave at the budget's end if this step made no progress; it must
+    # reach tol less one ulp, which the rounded midpoints may add.
+    scale = 2.0 ** (1 - min(bisections + _SPARE_STEPS, _MAX_ITERATIONS - 1))
+    reach = tol - math.ulp(max(-a, b))
+    half_tol = 0.5 * tol
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(_MAX_ITERATIONS):
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        width = abs(c - b)
+        if width <= tol:
+            return b
+        m = 0.5 * (c - b)
+        # |fb| <= |fc| < |fa| here, so fb is finite when fa and fc are
+        if (width * scale <= reach and abs(e) >= half_tol and abs(fa) > abs(fb)
+                and math.isfinite(fa) and math.isfinite(fc)):
+            s = fb / fa
+            if a == c:  # secant
+                p = 2.0 * m * s
+                q = 1.0 - s
+            else:  # inverse quadratic through a, b and c
+                q = fa / fc
+                r = fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(half_tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            hi = mid
+            d = e = m
+        a, fa = b, fb
+        # a step shorter than tol / 2 is taken as tol / 2 toward c; one that
+        # rounds back onto b is a bisection
+        x = b + d if abs(d) > half_tol else b + math.copysign(half_tol, m)
+        b = x if x != b else b + m
+        fb = _value(f, b)
+        if fb == 0.0:
+            return b
+        scale *= 2.0
     raise ConvergenceError(
-        f"bisection did not reach width {tol} within {_MAX_BISECTIONS} iterations"
+        f"root search did not reach width {tol} within {_MAX_ITERATIONS} iterations"
     )
 
 

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from mmpatch import specfun
 from mmpatch.errors import BracketError, ConvergenceError, DomainError
 from mmpatch.specfun import (
     Bracket,
@@ -270,6 +271,21 @@ class TestBlockStop:
         assert (out < TINY).all()
         assert_same_bits(out, scalar_loop(n, x))
 
+    def test_zero_argument_takes_no_scalar_pass(self, monkeypatch):
+        # J_n(0) for n >= 1 sums to +0.0, below the 1e-300 floor, but every
+        # term after the lead is +-0, so the scalar loop is not run again
+        calls = []
+        series = specfun._bessel_series
+        monkeypatch.setattr(specfun, "_bessel_series",
+                            lambda n, x: calls.append((n, x)) or series(n, x))
+        x = np.array([0.0, -0.0, 0.5, 0.0])
+        rows = bessel_j_rows(_ALL_ORDERS, x)
+        assert calls == []
+        for row, n in zip(rows, _ALL_ORDERS):
+            assert_same_bits(row, scalar_loop(n, x))
+            assert float.hex(float(row[0])) == float.hex(bessel_j(n, 0.0))
+            assert not np.signbit(row[[0, 1, 3]]).any()
+
 
 class TestScalarSeries:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])
@@ -323,6 +339,91 @@ class TestJPrimeFirstRoot:
             jprime_first_root(0)
 
 
+class Recorded:
+    """A root function that records the points it is evaluated at."""
+
+    def __init__(self, f):
+        self.f = f
+        self.points = []
+
+    def __call__(self, x):
+        self.points.append(x)
+        return self.f(x)
+
+
+def bisection_oracle(f, bracket, tol=1e-10):
+    # reference: plain bisection under the same contract and iteration cap
+    if not tol > 0.0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
+    lo, hi = bracket.lo, bracket.hi
+    flo = f(lo)
+    fhi = f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0):
+        raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
+    for _ in range(100):
+        if hi - lo <= tol:
+            return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid > 0.0) == (flo > 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    raise ConvergenceError(f"bisection did not reach width {tol} within 100 iterations")
+
+
+def assert_sign_change_within(f, root, tol, lo, hi):
+    # f changes sign (or vanishes) within tol of root
+    left, right = f(max(lo, root - tol)), f(min(hi, root + tol))
+    assert left == 0.0 or right == 0.0 or (left > 0.0) != (right > 0.0)
+
+
+THIRD = 1.0 / 3.0
+HARD_FIXTURES = [
+    ("cube", lambda x: (x - THIRD) ** 3, 0.0, 1.0),
+    ("ninth-power", lambda x: (x - THIRD) ** 9, 0.0, 1.0),
+    ("step", lambda x: -1.0 if x < THIRD else 1.0, 0.0, 1.0),
+    ("hyperbola", lambda x: math.inf if x == 0.0 else 1.0 / x - 3.0, 0.0, 1.0),
+    ("inverse-ninth", lambda x: math.inf if x == 0.0 else x ** -9 - 1.0, 0.0, 3.0),
+]
+
+
+@st.composite
+def monotone_problems(draw):
+    """(f, bracket, tol, root): a monotone f whose sign is exact, so its
+    only sign change is at root, and a tolerance from 1e-15 of the width.
+    The bracket lies in [-4, 8] and is at least 1 wide, so every such
+    tolerance is at least the float spacing and bisection reaches it."""
+    lo = draw(st.floats(-4.0, 4.0))
+    hi = lo + draw(st.floats(1.0, 4.0))
+    root = draw(st.floats(lo, hi, exclude_min=True, exclude_max=True))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    kind = draw(st.sampled_from(["power", "step", "hyperbola", "tanh"]))
+    if kind == "power":
+        k = draw(st.sampled_from([1, 3, 5, 9]))
+        f = lambda x: sign * (x - root) ** k
+    elif kind == "step":
+        f = lambda x: -sign if x < root else sign
+    elif kind == "hyperbola":
+        # (x - root) / (x - pole), with the pole outside the bracket
+        gap = draw(st.floats(1e-3, 4.0))
+        pole = draw(st.sampled_from([lo - gap, hi + gap]))
+        f = lambda x: sign * (x - root) / (x - pole)
+    else:
+        slope = draw(st.floats(1.0, 1e3))
+        f = lambda x: sign * math.tanh(slope * (x - root))
+    # (x - root)^9 underflows to zero within about 1e-36 of root
+    assume(f(lo) != 0.0 and f(hi) != 0.0)
+    tol = (hi - lo) * draw(st.floats(1e-15, 1.0))
+    return f, Bracket(lo, hi), tol, root
+
+
 class TestFindRootBracketed:
     def test_linear_root(self):
         root = find_root_bracketed(lambda x: x - 2.0, Bracket(0.0, 5.0), tol=1e-10)
@@ -363,3 +464,51 @@ class TestFindRootBracketed:
     def test_tolerance_must_be_positive(self):
         with pytest.raises(DomainError):
             find_root_bracketed(lambda x: x, Bracket(-1.0, 1.0), tol=0.0)
+
+    def test_nan_inside_bracket_raises(self):
+        # stepping over the nan run would return 0.7 as a root
+        f = lambda x: math.nan if 0.3 < x < 0.7 else x - 0.5
+        with pytest.raises(DomainError, match=r"nan at x=0\.5"):
+            find_root_bracketed(f, Bracket(0.0, 1.0))
+
+    def test_nan_everywhere_raises_domain_error(self):
+        # not a BracketError: nan has no sign to compare
+        with pytest.raises(DomainError, match=r"nan at x=0\.0"):
+            find_root_bracketed(lambda x: math.nan, Bracket(0.0, 1.0))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_infinite_value_keeps_its_sign_and_bisects(self, sign):
+        # +-(1/x - 3) is +-inf at 0: the value counts by its sign, and the
+        # step after it is the midpoint, not an interpolation through inf
+        f = Recorded(lambda x: sign * (math.inf if x == 0.0 else 1.0 / x - 3.0))
+        root = find_root_bracketed(f, Bracket(0.0, 1.0), tol=1e-12)
+        assert f.points[:3] == [0.0, 1.0, 0.5]
+        assert abs(root - 1.0 / 3.0) <= 1e-12
+
+    @pytest.mark.parametrize("name,f,lo,hi", HARD_FIXTURES, ids=[c[0] for c in HARD_FIXTURES])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12, 1e-15])
+    def test_hard_fixtures_within_four_of_bisection(self, name, f, lo, hi, tol):
+        # Without the budget, Brent's steps on (x - 1/3)^3 leave a bracket
+        # wider than 1e-12 after 100 iterations, where bisection takes 42
+        # evaluations: the budget keeps the search within 4 of bisection.
+        old = Recorded(f)
+        bisection_oracle(old, Bracket(lo, hi), tol)
+        new = Recorded(f)
+        root = find_root_bracketed(new, Bracket(lo, hi), tol)
+        assert len(new.points) <= len(old.points) + 4
+        assert_sign_change_within(f, root, tol, lo, hi)
+
+    @settings(max_examples=500, deadline=None)
+    @given(problem=monotone_problems())
+    def test_agrees_with_bisection_oracle(self, problem):
+        f, bracket, tol, true_root = problem
+        bisection_oracle(f, bracket, tol)  # returns for every drawn problem
+        new = Recorded(f)
+        root = find_root_bracketed(new, bracket, tol)
+        assert bracket.lo <= root <= bracket.hi
+        assert abs(root - true_root) <= tol
+        # A midpoint that lands on an exact zero ends bisection early, by
+        # luck; compare with the count bisection makes without that luck.
+        luckless = Recorded(lambda x: f(x) or 1.0)
+        bisection_oracle(luckless, bracket, tol)
+        assert len(new.points) <= len(luckless.points) + 4

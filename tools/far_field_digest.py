@@ -4,8 +4,11 @@ for bit-level parity checks of the Bessel kernels and the far-field code.
     python tools/far_field_digest.py [--src DIR] > digests.txt
 
 Each of the 200 designs draws a laminate and a design frequency f0 from
-a fixed seed and gets a resonant disk with fringing. Its line carries two
-hashes, each over the ``float.hex`` of the numbers below, in order.
+a fixed seed. Its disk has the closed-form radius that resonates at f0
+without fringing, so the digest calls no root finder and a change to the
+root search moves none of its lines; the design itself keeps fringing.
+Its line carries two hashes, each over the ``float.hex`` of the numbers
+below, in order.
 ``fields=`` hashes the fields and the budget:
 
 * the E and H ``pattern_cut`` at f0 with 1, 0.5, 0.1, 0.7 and 13 degree
@@ -107,7 +110,8 @@ def main() -> int:
     for i in range(DESIGNS):
         sub = SubstrateSpec(eps_r=rng.uniform(*EPS_R), h=rng.uniform(*H_MM) * 1e-3)
         f0 = rng.uniform(*F0_GHZ) * 1e9
-        design = cp.circ_design_from_radius(cp.resonant_radius(f0, sub), sub, f0)
+        design = cp.circ_design_from_radius(
+            cp.resonant_radius(f0, sub, fringing=False), sub, f0)
         fields, directivity = design_digests(cp, design)
         print(f"design {i:03d} eps_r={sub.eps_r:.4f} h_mm={sub.h * 1e3:.4f} "
               f"f0_ghz={f0 / 1e9:.4f} fields={fields} directivity={directivity}")
