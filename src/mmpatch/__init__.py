@@ -30,7 +30,6 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DomainError,
-    ModelRangeError,
     PatchModelError,
     SingularFeedError,
     SynthesisError,

@@ -7,16 +7,21 @@ J1'). The effective radius includes the fringing enlargement by default; a
 no-fringing mode is available behind the ``fringing`` flag for literal
 closed-form reproduction.
 
-Loss bookkeeping: the radiation resistance comes from the small-radius
-series expansion of the radiated power. Surface-wave, conductor, and
-dielectric resistances are series terms proportional to their loss powers,
+Loss bookkeeping is one budget pass per (design, f, t1_form). Its only
+source of the radiation resistance R_r and the radiated power P_r is
+``_radiation``, the one reader of the small-radius series expansion of the
+radiated power (swapping that series for the exact pattern integral is a
+change to that one helper). Surface-wave, conductor, and dielectric
+resistances are series terms proportional to their loss powers,
 R_x = R_r * P_x / P_r, so the efficiency R_r / R_total equals the radiated
 fraction of the input power exactly. The stored energy is Lommel's exact
-integral of the mode profile, and one budget pass yields all powers, the
-resistances and the Q (read them from :func:`loss_report` and
-:func:`resonator_terms_circ`). The alternative closed-form (voltage route)
-conductor/dielectric resistances are kept as cross-checks in
-:func:`r_conductor_circ_printed` / :func:`r_dielectric_circ_printed`.
+integral of the mode profile. The pass yields all powers, the resistances
+and the Q, and refuses a P_r or R_total that is not finite and positive;
+read it through :func:`loss_report`, :func:`r_total_circ`,
+:func:`resonator_terms_circ` and :func:`p_radiated`. The alternative
+closed-form (voltage route) conductor/dielectric resistances are kept as
+cross-checks in :func:`r_conductor_circ_printed` /
+:func:`r_dielectric_circ_printed`.
 
 Far field: :func:`directivity` is 4 / I with I the pattern integral of
 Balanis section 14.3. For k0 a_eff <= 1.6 it is summed from the exact
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ModelRangeError, SynthesisError
+from .errors import DomainError, SynthesisError
 from .media import (EPS0, ETA0, MU0, C0, ResistanceBreakdown, SubstrateSpec,
                     free_space_wavelength, surface_wave_factor, wavenumber)
 from .specfun import Bracket, bessel_j, bessel_j_rows, find_root_bracketed
@@ -61,7 +66,6 @@ class CircPatchDesign:
     rho0: float | None
     substrate: SubstrateSpec
     f_design: float
-    mode_n: int = 1
 
     def __post_init__(self) -> None:
         if not self.a > 0.0:
@@ -74,8 +78,6 @@ class CircPatchDesign:
             raise DomainError(f"feed radius must lie in [0, a], got {self.rho0}")
         if not self.f_design > 0.0:
             raise DomainError(f"design frequency must be > 0, got {self.f_design}")
-        if self.mode_n != 1:
-            raise DomainError("only the lowest mode (n = 1) is modeled")
 
 
 @dataclass(frozen=True)
@@ -159,9 +161,9 @@ def _radiation_series(k0a: float) -> float:
     return 4.0 / 3.0 - (8.0 / 15.0) * s2 + (11.0 / 105.0) * s2 * s2
 
 
-def p_radiated(design: CircPatchDesign, f: float, E0: float = 1.0) -> float:
-    """Radiated power of the lowest mode at edge-field amplitude E0 (W)."""
-    _check_e0(E0, zero_ok=True)
+def _radiation(design: CircPatchDesign, f: float) -> tuple[float, float]:
+    # R_r and P_r at unit edge field (V0 = h) from one read of the series;
+    # R_r = V0^2 / (2 P_r), the field amplitude cancels out
     lam0 = free_space_wavelength(f)
     k0a = wavenumber(f) * design.a_eff
     if k0a > 1.8:
@@ -169,29 +171,19 @@ def p_radiated(design: CircPatchDesign, f: float, E0: float = 1.0) -> float:
             f"radiated-power series truncation degrades beyond k0*a_eff = 1.8 "
             f"(got {k0a:.3f})",
             RuntimeWarning,
-            stacklevel=2,
         )
-    v0 = E0 * design.substrate.h
-    return (
-        math.pi**3
-        * design.a_eff**2
-        * v0
-        * v0
-        / (2.0 * lam0 * lam0 * ETA0)
-        * _radiation_series(k0a)
-    )
-
-
-def r_radiation_circ(design: CircPatchDesign, f: float) -> float:
-    """Edge radiation resistance; the field amplitude cancels out."""
-    lam0 = free_space_wavelength(f)
-    k0a = wavenumber(f) * design.a_eff
     series = _radiation_series(k0a)
-    if series <= 0.0:
-        raise ModelRangeError(
-            f"radiated-power series non-positive at k0*a_eff = {k0a:.3f}"
-        )
-    return lam0 * lam0 * ETA0 / (math.pi**3 * design.a_eff**2 * series)
+    h = design.substrate.h
+    r_r = lam0 * lam0 * ETA0 / (math.pi**3 * design.a_eff**2 * series)
+    p_r = math.pi**3 * design.a_eff**2 * h * h / (2.0 * lam0 * lam0 * ETA0) * series
+    return r_r, p_r
+
+
+def p_radiated(design: CircPatchDesign, f: float, E0: float = 1.0) -> float:
+    """Radiated power of the lowest mode at edge-field amplitude E0 (W);
+    equals ``loss_report(design, f, E0).P_r``."""
+    _check_e0(E0, zero_ok=True)
+    return E0 * E0 * _radiation(design, f)[1]
 
 
 def stored_energy(design: CircPatchDesign, E0: float = 1.0) -> float:
@@ -240,16 +232,20 @@ _Budget = namedtuple("_Budget", "P_r P_s P_c P_d W_T breakdown Q")
 
 def _budget(design: CircPatchDesign, f: float, t1_form: str) -> _Budget:
     sub = design.substrate
-    r_r = r_radiation_circ(design, f)
+    r_r, p_r = _radiation(design, f)
+    if not 0.0 < p_r < math.inf:
+        # a thickness so small that V0^2 underflows, or an overflow
+        raise DomainError(f"radiated power must be finite and > 0, got {p_r} W")
     _, t1 = surface_wave_factor(sub, f, t1_form)
     omega = 2.0 * math.pi * f
     w_t = stored_energy(design)
-    p_r = p_radiated(design, f)
     # P_c = omega W_T / (h sqrt(pi f mu0 sigma)), P_d = omega tan_delta W_T
     p_c = omega * w_t / (sub.h * math.sqrt(math.pi * f * MU0 * sub.sigma))
     p_d = omega * sub.tan_delta * w_t
     r_s, r_c, r_d = t1 * r_r, r_r * p_c / p_r, r_r * p_d / p_r
     r_total = r_r + r_s + r_c + r_d
+    if not 0.0 < r_total < math.inf:
+        raise DomainError(f"total resistance must be finite and > 0, got {r_total} ohm")
     # omega W_T over the summed powers, written as omega W_T R_r / (P_r R_total)
     q = omega * w_t * r_r / (p_r * r_total)
     return _Budget(
@@ -281,7 +277,7 @@ def _basis_resistance(design: CircPatchDesign, f: float, basis: str, t1_form: st
     if basis == "total":
         return r_total_circ(design, f, t1_form).R_total
     if basis == "radiation":
-        return r_radiation_circ(design, f)
+        return _radiation(design, f)[0]
     raise DomainError(f"unknown basis {basis!r}; use 'total' or 'radiation'")
 
 
@@ -594,7 +590,6 @@ def synth_circ(
     sub: SubstrateSpec,
     target_R: float = 50.0,
     fringing: bool = True,
-    t1_form: str = "printed",
 ) -> CircPatchDesign:
     """Synthesize a circular patch resonant at f0 with the feed placed for
     target_R.
@@ -605,5 +600,5 @@ def synth_circ(
     """
     a = resonant_radius(f0, sub, fringing)
     design = circ_design_from_radius(a, sub, f0, fringing)
-    rho0 = feed_radius_for_match(design, f0, target_R, basis="radiation", t1_form=t1_form)
+    rho0 = feed_radius_for_match(design, f0, target_R, basis="radiation")
     return circ_design_from_radius(a, sub, f0, fringing, rho0=rho0)

@@ -242,8 +242,7 @@ def _circ_design(job: JobConfig) -> circpatch.CircPatchDesign:
         return circpatch.circ_design_from_radius(
             job.circ_a, job.substrate, job.f_design, fringing, rho0=job.circ_rho0)
     return circpatch.synth_circ(
-        job.f_design, job.substrate, target_R=job.target_r,
-        fringing=fringing, t1_form=job.t1_form)
+        job.f_design, job.substrate, target_R=job.target_r, fringing=fringing)
 
 
 def _breakdown_dict(b: ResistanceBreakdown) -> dict:

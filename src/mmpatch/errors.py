@@ -25,10 +25,6 @@ class BracketError(DomainError):
     """Root bracket does not enclose a sign change."""
 
 
-class ModelRangeError(DomainError):
-    """A closed-form model was evaluated outside its range of validity."""
-
-
 class ConvergenceError(PatchModelError, RuntimeError):
     """An iterative solver hit its iteration cap before reaching tolerance."""
 

@@ -31,14 +31,14 @@ class SubstrateSpec:
     sigma: float = 5.8e7
 
     def __post_init__(self) -> None:
-        if not self.eps_r >= 1.0:
-            raise DomainError(f"relative permittivity must be >= 1, got {self.eps_r}")
-        if not self.h > 0.0:
-            raise DomainError(f"substrate thickness must be > 0, got {self.h}")
-        if not self.tan_delta >= 0.0:
-            raise DomainError(f"loss tangent must be >= 0, got {self.tan_delta}")
-        if not self.sigma > 0.0:
-            raise DomainError(f"conductivity must be > 0, got {self.sigma}")
+        if not 1.0 <= self.eps_r < math.inf:
+            raise DomainError(f"relative permittivity must be finite and >= 1, got {self.eps_r}")
+        if not 0.0 < self.h < math.inf:
+            raise DomainError(f"substrate thickness must be finite and > 0, got {self.h}")
+        if not 0.0 <= self.tan_delta < math.inf:
+            raise DomainError(f"loss tangent must be finite and >= 0, got {self.tan_delta}")
+        if not 0.0 < self.sigma < math.inf:
+            raise DomainError(f"conductivity must be finite and > 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ fixed by the stored-energy / loss-power budget of the cavity, which comes
 out near 1.6 on this substrate. A 320 MHz band at 39 GHz would need a
 loaded Q near 84, fifty times larger than any Q derivable from the model's
 own energies, so the narrowband figure is not reproducible from this model.
-The analysis lives in the project decision log.
 """
 
 import math

@@ -284,6 +284,20 @@ class TestExitCodeMapping:
         assert captured.out == ""
         assert "reference impedance must be a finite, normal float > 0" in captured.err
 
+    @pytest.mark.parametrize("command,flag,value,message", [
+        ("design", "--tan-delta", "inf", "loss tangent must be finite"),
+        ("analyze", "--sigma", "inf", "conductivity must be finite"),
+        ("analyze", "--eps-r", "1e200", "total resistance must be finite and > 0"),
+        ("analyze", "--h-mm", "1e-297", "radiated power must be finite and > 0"),
+    ])
+    def test_non_finite_circular_budget_exits_2(self, capsys, command, flag, value, message):
+        args = {"--f-ghz": "39", "--eps-r": "2.32", "--h-mm": "0.8", flag: value}
+        argv = [command, "--geometry", "circ"] + [t for kv in args.items() for t in kv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "domain error" in captured.err and message in captured.err
+
     def test_bad_config_reference_impedance_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "z.cfg"
         cfg.write_text(RECT_CONFIG + "sweep.zref = -5\n")

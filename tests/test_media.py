@@ -53,6 +53,10 @@ def test_substrate_validation():
         SubstrateSpec(eps_r=2.0, h=1e-4, tan_delta=-0.1)
     with pytest.raises(DomainError):
         SubstrateSpec(eps_r=2.0, h=1e-4, sigma=0.0)
+    for field in ("eps_r", "h", "tan_delta", "sigma"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="must be finite"):
+                SubstrateSpec(**{"eps_r": 2.0, "h": 1e-4, field: value})
 
 
 def test_substrate_defaults_are_copper_and_mild_loss():
