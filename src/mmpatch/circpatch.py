@@ -7,35 +7,33 @@ J1'). The effective radius includes the fringing enlargement by default; a
 no-fringing mode is available behind the ``fringing`` flag for literal
 closed-form reproduction.
 
-Loss bookkeeping is one budget pass per (design, f, t1_form). Its only
-source of the radiation resistance R_r and the radiated power P_r is
-``_radiation``, the one reader of the small-radius series expansion of the
-radiated power (swapping that series for the exact pattern integral is a
-change to that one helper). Surface-wave, conductor, and dielectric
+Loss bookkeeping is one budget pass per (design, f, t1_form). It evaluates
+the pattern integral I of Balanis section 14.3 once, in ``_radiation``,
+and takes from it the radiation resistance R_r, the radiated power P_r and
+the directivity D = 4 / I. Surface-wave, conductor, and dielectric
 resistances are series terms proportional to their loss powers,
 R_x = R_r * P_x / P_r, so the efficiency R_r / R_total equals the radiated
 fraction of the input power exactly. The stored energy is Lommel's exact
-integral of the mode profile. The pass yields all powers, the resistances
-and the Q, and refuses a P_r or R_total that is not finite and positive;
-read it through :func:`loss_report`, :func:`r_total_circ`,
-:func:`resonator_terms_circ` and :func:`p_radiated`. The alternative
-closed-form (voltage route) conductor/dielectric resistances are kept as
-cross-checks in :func:`r_conductor_circ_printed` /
-:func:`r_dielectric_circ_printed`.
+integral of the mode profile. The pass yields all powers, the resistances,
+the Q, e_r, D and G, and refuses a P_r, R_r or R_total that is not finite
+and positive; read it through :func:`loss_report`, :func:`r_total_circ`,
+:func:`resonator_terms_circ`, :func:`efficiency`, :func:`gain` and
+:func:`p_radiated`. The alternative closed-form (voltage route)
+conductor/dielectric resistances are kept as cross-checks in
+:func:`r_conductor_circ_printed` / :func:`r_dielectric_circ_printed`.
 
-Far field: :func:`directivity` is 4 / I with I the pattern integral of
-Balanis section 14.3. For k0 a_eff <= 1.6 it is summed from the exact
-power series of I in (k0 a_eff)^2, whose coefficients are built once at
-import; above that the alternating series loses digits and a fixed 32-node
-Gauss-Legendre rule in theta takes over. :func:`pattern_cuts` evaluates
-both principal-plane cuts from one Bessel pass over the angles theta >= 0
-and mirrors them; :func:`pattern_cut` returns one of the two.
+Far field: for k0 a_eff <= 1.6, I is summed from the exact power series of
+I in (k0 a_eff)^2, whose coefficients are built once at import; above that
+the alternating series loses digits and a fixed 32-node Gauss-Legendre
+rule in theta takes over. :func:`directivity` is 4 / I on its own, for
+callers without a substrate budget. :func:`pattern_cuts` evaluates both
+principal-plane cuts from one Bessel pass over the angles theta >= 0 and
+mirrors them; :func:`pattern_cut` returns one of the two.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -154,29 +152,23 @@ def _check_e0(E0: float, zero_ok: bool = False) -> None:
         raise DomainError(f"edge field amplitude must be finite and {bound}, got {E0}")
 
 
-def _radiation_series(k0a: float) -> float:
-    # Quartic expansion of the radiated-power angular integral; good to
-    # ~0.3 % for k0a <= 0.8 and ~3.5 % at k0a = 1.2.
-    s2 = k0a * k0a
-    return 4.0 / 3.0 - (8.0 / 15.0) * s2 + (11.0 / 105.0) * s2 * s2
-
-
-def _radiation(design: CircPatchDesign, f: float) -> tuple[float, float]:
-    # R_r and P_r at unit edge field (V0 = h) from one read of the series;
-    # R_r = V0^2 / (2 P_r), the field amplitude cancels out
+def _radiation(design: CircPatchDesign, f: float) -> tuple[float, float, float]:
+    # R_r and P_r at unit edge field (V0 = h) and the directivity, from one
+    # pattern integral I: P_r = pi^3 a_eff^2 h^2 I / (2 lam0^2 eta0),
+    # R_r = V0^2 / (2 P_r) and D = 4 / I. k0 a_eff is formed as in
+    # directivity, so D has its bits.
     lam0 = free_space_wavelength(f)
-    k0a = wavenumber(f) * design.a_eff
-    if k0a > 1.8:
-        warnings.warn(
-            f"radiated-power series truncation degrades beyond k0*a_eff = 1.8 "
-            f"(got {k0a:.3f})",
-            RuntimeWarning,
-        )
-    series = _radiation_series(k0a)
+    a_eff = design.a_eff
+    i = _pattern_integral(2.0 * math.pi / lam0 * a_eff)
     h = design.substrate.h
-    r_r = lam0 * lam0 * ETA0 / (math.pi**3 * design.a_eff**2 * series)
-    p_r = math.pi**3 * design.a_eff**2 * h * h / (2.0 * lam0 * lam0 * ETA0) * series
-    return r_r, p_r
+    area = math.pi**3 * a_eff * a_eff  # a product, where ** would raise on overflow
+    r_r = lam0 * lam0 * ETA0 / (area * i)
+    p_r = area * h * h / (2.0 * lam0 * lam0 * ETA0) * i
+    if not (0.0 < p_r < math.inf and 0.0 < r_r < math.inf):
+        # V0^2 = h^2 underflows, or the disk or wavelength overflows
+        raise DomainError(
+            f"radiated power must be finite and > 0, got {p_r} W (R_r = {r_r} ohm)")
+    return r_r, p_r, 4.0 / i
 
 
 def p_radiated(design: CircPatchDesign, f: float, E0: float = 1.0) -> float:
@@ -226,16 +218,14 @@ def r_conductor_circ_printed(design: CircPatchDesign, f: float) -> float:
 
 
 # Powers and stored energy at unit edge field, with the series resistances
-# R_x = R_r * P_x / P_r they imply and the Q.
-_Budget = namedtuple("_Budget", "P_r P_s P_c P_d W_T breakdown Q")
+# R_x = R_r * P_x / P_r they imply, the Q, the efficiency, the directivity
+# and the gain.
+_Budget = namedtuple("_Budget", "P_r P_s P_c P_d W_T breakdown Q e_r D G")
 
 
 def _budget(design: CircPatchDesign, f: float, t1_form: str) -> _Budget:
     sub = design.substrate
-    r_r, p_r = _radiation(design, f)
-    if not 0.0 < p_r < math.inf:
-        # a thickness so small that V0^2 underflows, or an overflow
-        raise DomainError(f"radiated power must be finite and > 0, got {p_r} W")
+    r_r, p_r, d = _radiation(design, f)
     _, t1 = surface_wave_factor(sub, f, t1_form)
     omega = 2.0 * math.pi * f
     w_t = stored_energy(design)
@@ -248,10 +238,11 @@ def _budget(design: CircPatchDesign, f: float, t1_form: str) -> _Budget:
         raise DomainError(f"total resistance must be finite and > 0, got {r_total} ohm")
     # omega W_T over the summed powers, written as omega W_T R_r / (P_r R_total)
     q = omega * w_t * r_r / (p_r * r_total)
+    e_r = r_r / r_total
     return _Budget(
         P_r=p_r, P_s=t1 * p_r, P_c=p_c, P_d=p_d, W_T=w_t,
         breakdown=ResistanceBreakdown(R_r=r_r, R_s=r_s, R_c=r_c, R_d=r_d, R_total=r_total),
-        Q=q,
+        Q=q, e_r=e_r, D=d, G=e_r * d,
     )
 
 
@@ -326,14 +317,19 @@ def feed_radius_for_match(
     if not target_R > 0.0:
         raise DomainError(f"target resistance must be > 0, got {target_R}")
     base = _basis_resistance(design, f, basis, t1_form)
-    edge = base * _feed_taper(design, design.a)
+    k11 = J1P_FIRST_ROOT / design.a_eff
+    # the _feed_taper of the physical edge, with J1 there kept for the bracket
+    j_edge = bessel_j(1, k11 * design.a)
+    edge = base * (j_edge / _J1_AT_ROOT) ** 2
     if target_R > edge:
         raise DomainError(
             f"target {target_R:.4g} ohm exceeds the {edge:.4g} ohm available at "
             f"the disk edge; no feed radius can match it"
         )
-    k11 = J1P_FIRST_ROOT / design.a_eff
     j_target = math.sqrt(target_R / base) * _J1_AT_ROOT
+    if j_target >= j_edge:
+        # the edge resistance itself, which the square root can round past
+        return design.a
     # J1(k11 rho) rises monotonically on [0, a] (its first peak is at the
     # effective edge), so the bracket is guaranteed.
     return find_root_bracketed(
@@ -356,7 +352,8 @@ def far_fields(
     E_theta ~ cos(phi) [J0(u) - J2(u)], E_phi ~ cos(theta) sin(phi)
     [J0(u) + J2(u)] with u = k0 a_eff sin(theta), common prefactor
     E0 h k0 a_eff / 2. Hemispherical integration of these fields reproduces
-    the radiated-power series within its truncation error.
+    :func:`p_radiated`, which integrates the same pattern exactly in theta,
+    to the accuracy of the quadrature grid.
 
     theta is restricted to the upper hemisphere [0, pi/2]; angles must be
     finite and E0 finite and positive.
@@ -486,13 +483,12 @@ def directivity(design: CircPatchDesign, f: float) -> float:
 
 def efficiency(design: CircPatchDesign, f: float, t1_form: str = "printed") -> float:
     """Radiated fraction of the input power, e_r = R_r / R_total in (0, 1]."""
-    b = r_total_circ(design, f, t1_form)
-    return b.R_r / b.R_total
+    return _budget(design, f, t1_form).e_r
 
 
 def gain(design: CircPatchDesign, f: float, t1_form: str = "printed") -> float:
-    """G = e_r * D (dimensionless)."""
-    return efficiency(design, f, t1_form) * directivity(design, f)
+    """G = e_r * D (dimensionless), from one budget pass."""
+    return _budget(design, f, t1_form).G
 
 
 # Steps below this would give more than 180,001 samples per cut.
@@ -577,11 +573,9 @@ def loss_report(
     _check_e0(E0, zero_ok=True)
     b = _budget(design, f, t1_form)
     e0sq = E0 * E0
-    e_r = b.breakdown.R_r / b.breakdown.R_total
-    d = directivity(design, f)
     return CircLossReport(
         P_r=e0sq * b.P_r, P_s=e0sq * b.P_s, P_c=e0sq * b.P_c, P_d=e0sq * b.P_d,
-        W_T=e0sq * b.W_T, breakdown=b.breakdown, e_r=e_r, D=d, G=e_r * d,
+        W_T=e0sq * b.W_T, breakdown=b.breakdown, e_r=b.e_r, D=b.D, G=b.G,
     )
 
 

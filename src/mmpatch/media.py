@@ -65,9 +65,9 @@ class RegimeReport:
 
 
 def free_space_wavelength(f: float) -> float:
-    """lambda0 = c / f, f in Hz."""
-    if not f > 0.0:
-        raise DomainError(f"frequency must be > 0, got {f}")
+    """lambda0 = c / f, f in Hz; f must be finite and > 0."""
+    if not 0.0 < f < math.inf:
+        raise DomainError(f"frequency must be finite and > 0, got {f}")
     return C0 / f
 
 

@@ -74,8 +74,8 @@ class TestDesign:
         assert main(["design", "--config", circ_config, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["design"]["a_mm"] == pytest.approx(1.2169, abs=2e-4)
-        assert report["design"]["rho0_mm"] == pytest.approx(0.3285, abs=2e-4)
-        assert report["design"]["vswr_at_res"] == pytest.approx(1.366, abs=2e-3)
+        assert report["design"]["rho0_mm"] == pytest.approx(0.3223, abs=2e-4)
+        assert report["design"]["vswr_at_res"] == pytest.approx(1.3661, abs=2e-3)
 
     def test_zref_sets_design_vswr_and_echo(self, tmp_path, circ_config):
         reports = {}
@@ -297,6 +297,27 @@ class TestExitCodeMapping:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "domain error" in captured.err and message in captured.err
+
+    @pytest.mark.parametrize("geometry", ["rect", "circ"])
+    @pytest.mark.parametrize("command", ["design", "analyze"])
+    def test_infinite_frequency_exits_2(self, capsys, command, geometry):
+        # 1e300 GHz is an infinite f in Hz, whose wavelength would be 0
+        argv = [command, "--geometry", geometry, "--f-ghz", "1e300",
+                "--eps-r", "2.32", "--h-mm", "0.8"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "domain error: frequency must be finite and > 0" in captured.err
+
+    @pytest.mark.parametrize("command", ["design", "analyze"])
+    def test_vanishing_circular_frequency_exits_2(self, capsys, command):
+        # at 1e-300 GHz the wavelength and the disk area overflow
+        argv = [command, "--geometry", "circ", "--f-ghz", "1e-300",
+                "--eps-r", "2.32", "--h-mm", "0.8"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "domain error: radiated power must be finite and > 0" in captured.err
 
     def test_bad_config_reference_impedance_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "z.cfg"

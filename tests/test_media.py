@@ -31,6 +31,13 @@ def test_wavelength_examples():
         free_space_wavelength(0.0)
 
 
+@pytest.mark.parametrize("f", [math.inf, math.nan, -math.inf])
+def test_non_finite_frequency_rejected(f):
+    # lambda0 = c / inf would be 0 and divide by zero further on
+    with pytest.raises(DomainError, match="frequency must be finite and > 0"):
+        free_space_wavelength(f)
+
+
 def test_wavelength_times_frequency_is_c():
     for f in (1e6, 3e8, 39e9, 2.4e11):
         assert free_space_wavelength(f) * f == pytest.approx(C0, rel=1e-15, abs=0.0)

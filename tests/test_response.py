@@ -614,6 +614,6 @@ class TestResonatorBuilders:
         design = synth_circ(F0, sub)
         m = circ_resonator(design)
         assert m.f_res == pytest.approx(F0, rel=1e-6)
-        assert m.r_res == pytest.approx(68.301, abs=0.01)
-        assert m.q_total == pytest.approx(1.5943067126511548, rel=1e-4)
+        assert m.r_res == pytest.approx(68.30677809966791, abs=0.01)
+        assert m.q_total == pytest.approx(1.653738281317738, rel=1e-4)
         assert m.q_total == pytest.approx(resonator_terms_circ(design, m.f_res)[1], rel=1e-12)

@@ -23,7 +23,8 @@ pattern integral up to k0 a_eff = 1.6, Gauss-Legendre above):
 * ``directivity`` at 0.8 f0, f0 and 1.25 f0;
 * D and G of that ``loss_report``.
 
-A change to the directivity rule moves only the second hash.
+The budget takes R_r and P_r from the same pattern integral as D, so a
+change to the directivity rule moves both hashes.
 
 Two trees compute bit-identical far fields when the outputs of this
 script are identical:
