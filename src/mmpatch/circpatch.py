@@ -27,8 +27,8 @@ I in (k0 a_eff)^2, whose coefficients are built once at import; above that
 the alternating series loses digits and a fixed 32-node Gauss-Legendre
 rule in theta takes over. :func:`directivity` is 4 / I on its own, for
 callers without a substrate budget. :func:`pattern_cuts` evaluates both
-principal-plane cuts from one Bessel pass over the angles theta >= 0 and
-mirrors them; :func:`pattern_cut` returns one of the two.
+principal-plane cuts, each a float64 array of (theta in radians, dB) rows,
+from one Bessel pass over theta >= 0; :func:`pattern_cut` returns one.
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ def resonant_frequency(a: float, sub: SubstrateSpec, fringing: bool = True) -> f
 
 def resonant_radius(f0: float, sub: SubstrateSpec, fringing: bool = True) -> float:
     """Physical radius resonating at f0; inverse of :func:`resonant_frequency`."""
-    if not f0 > 0.0:
-        raise DomainError(f"frequency must be > 0, got {f0}")
+    if not 0.0 < f0 < math.inf:
+        raise DomainError(f"frequency must be finite and > 0, got {f0}")
     a0 = J1P_FIRST_ROOT * C0 / (2.0 * math.pi * f0 * math.sqrt(sub.eps_r))
     if not fringing:
         return a0
@@ -187,7 +187,10 @@ def stored_energy(design: CircPatchDesign, E0: float = 1.0) -> float:
     """
     _check_e0(E0, zero_ok=True)
     sub = design.substrate
-    integral = 0.5 * design.a_eff**2 * _EDGE_BRACKET / J1P_FIRST_ROOT**2
+    try:  # **, not a product, whose last bit can differ
+        integral = 0.5 * design.a_eff**2 * _EDGE_BRACKET / J1P_FIRST_ROOT**2
+    except OverflowError as exc:
+        raise DomainError(f"stored energy overflows at a_eff = {design.a_eff} m") from exc
     return 0.5 * EPS0 * sub.eps_r * sub.h * math.pi * E0 * E0 * integral
 
 
@@ -520,35 +523,33 @@ def _half_cuts(
     return theta, np.abs(pref * (j0 - j2)), np.abs(pref * np.cos(theta) * (j0 + j2))
 
 
-def _cut_angles(theta: np.ndarray) -> list[float]:
-    # The cut's angles: theta >= 0 mirrored onto -theta, then theta itself
-    half = theta.tolist()
-    return [-th for th in half[:0:-1]] + half
-
-
-def _mirrored_db(angles: list[float], mags: np.ndarray) -> list[tuple[float, float]]:
-    # dB relative to the theta = 0 sample, paired with the _cut_angles; the
-    # cut is symmetric, so the negative half repeats the positive one.
+def _cut_rows(theta: np.ndarray, mags: np.ndarray) -> np.ndarray:
+    # Rows (theta, dB relative to theta = 0) of a cut from its samples at
+    # theta >= 0; the cut is symmetric, so rows at -theta repeat the dB.
     # math.log10, not np.log10: the two can differ in the last bit
-    db = [20.0 * math.log10(rel) if rel > 0.0 else -math.inf
-          for rel in (mags / mags[0]).tolist()]
-    return list(zip(angles, db[:0:-1] + db))
+    n = len(theta) - 1
+    rows = np.empty((2 * n + 1, 2))
+    rows[n:, 0] = theta
+    rows[n:, 1] = [20.0 * math.log10(rel) if rel > 0.0 else -math.inf
+                   for rel in (mags / mags[0]).tolist()]
+    rows[:n] = rows[:n:-1] * (-1.0, 1.0)
+    return rows
 
 
 def pattern_cuts(
     design: CircPatchDesign, f: float, step: float = math.pi / 180
-) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Both principal-plane cuts, ``(pattern_cut(.., "E", step),
     pattern_cut(.., "H", step))``, from one Bessel pass."""
     theta, e_mags, h_mags = _half_cuts(design, f, step)
-    angles = _cut_angles(theta)
-    return _mirrored_db(angles, e_mags), _mirrored_db(angles, h_mags)
+    return _cut_rows(theta, e_mags), _cut_rows(theta, h_mags)
 
 
 def pattern_cut(
     design: CircPatchDesign, f: float, plane: str, step: float = math.pi / 180
-) -> list[tuple[float, float]]:
-    """Principal-plane pattern cut, normalized to 0 dB at broadside.
+) -> np.ndarray:
+    """Principal-plane pattern cut, normalized to 0 dB at broadside, as a
+    float64 array of shape (n, 2) with rows (theta in radians, dB).
 
     ``plane="E"`` is the |E_theta| cut in the phi = 0 plane, ``plane="H"``
     the |E_phi| cut in the phi = pi/2 plane. Theta runs over the multiples
@@ -561,7 +562,7 @@ def pattern_cut(
     if plane not in ("E", "H"):
         raise DomainError(f"plane must be 'E' or 'H', got {plane!r}")
     theta, e_mags, h_mags = _half_cuts(design, f, step)
-    return _mirrored_db(_cut_angles(theta), e_mags if plane == "E" else h_mags)
+    return _cut_rows(theta, e_mags if plane == "E" else h_mags)
 
 
 def loss_report(

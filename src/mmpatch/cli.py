@@ -19,6 +19,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import circpatch, rectpatch, response
 from .errors import ConfigError, ConvergenceError, DomainError
 from .media import ResistanceBreakdown, SubstrateSpec, thickness_regime
@@ -68,20 +70,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_config(path: str) -> dict[str, str]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:  # a ValueError: main would exit 2
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _KNOWN_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = value
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _KNOWN_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = value
     return values
 
 
@@ -356,9 +362,9 @@ def cmd_pattern(job: JobConfig) -> dict:
     e_cut, h_cut = circpatch.pattern_cuts(design, job.f_design, step)
     clamp = response.RL_CLAMP_DB
     samples = Records(("theta_deg", "e_plane_db", "h_plane_db"), (
-        [math.degrees(th) for th, _ in e_cut],
-        [max(db, clamp) for _, db in e_cut],
-        [max(db, clamp) for _, db in h_cut],
+        np.degrees(e_cut[:, 0]),
+        np.maximum(e_cut[:, 1], clamp),
+        np.maximum(h_cut[:, 1], clamp),
     ))
     return {
         "command": "pattern",

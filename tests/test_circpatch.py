@@ -136,6 +136,12 @@ class TestGeometry:
                     a = resonant_radius(f, sub)
                     assert resonant_frequency(a, sub) == pytest.approx(f, rel=1e-6)
 
+    @pytest.mark.parametrize("f0", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("fringing", [True, False])
+    def test_resonant_radius_refuses_bad_frequency(self, sub, f0, fringing):
+        with pytest.raises(DomainError, match="frequency must be finite and > 0"):
+            resonant_radius(f0, sub, fringing)
+
     def test_no_fringing_radius_closed_form(self, sub):
         a = resonant_radius(F0, sub, fringing=False)
         assert a == pytest.approx(
@@ -289,6 +295,12 @@ class TestStoredEnergy:
         f_res = resonant_frequency(design.a, design.substrate)
         closed = stored_energy_closed_form(design, f_res)
         assert stored_energy(design) == pytest.approx(closed, rel=1e-12)
+
+    def test_overflowing_radius_rejected(self, sub):
+        # a_eff**2 overflows: a DomainError, not the OverflowError of **
+        huge = CircPatchDesign(a=1e200, a_eff=1e200, rho0=None, substrate=sub, f_design=F0)
+        with pytest.raises(DomainError, match="stored energy overflows"):
+            stored_energy(huge)
 
 
 class TestQuality:
@@ -474,7 +486,9 @@ class TestArrayKernelExact:
     def test_pattern_cut(self, design, monkeypatch):
         fast, ref = self._both(monkeypatch, lambda: [
             pattern_cut(design, F0, plane, step=math.radians(0.5)) for plane in ("E", "H")])
-        assert fast == ref
+        for a, b in zip(fast, ref):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
     def test_far_fields_grid(self, design, monkeypatch):
         theta = np.linspace(0.0, math.pi / 2, 46)
@@ -637,9 +651,24 @@ class TestPatternCut:
     @pytest.mark.parametrize("step_deg", [1.0, 0.1, 0.7, 13.0, 90.0])
     def test_both_cuts_equal_the_single_cuts(self, design, step_deg):
         step = math.radians(step_deg)
-        e_cut, h_cut = pattern_cuts(design, F0, step)
-        assert e_cut == pattern_cut(design, F0, "E", step)
-        assert h_cut == pattern_cut(design, F0, "H", step)
+        for cut, plane in zip(pattern_cuts(design, F0, step), ("E", "H")):
+            single = pattern_cut(design, F0, plane, step)
+            assert cut.shape == single.shape
+            assert cut.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("plane", ["E", "H"])
+    def test_rows_are_theta_and_db(self, design, plane):
+        # the row contract of a cut: float64 (n, 2), each row unpacks to
+        # (theta in radians, dB), and broadside is exactly (0.0, 0.0)
+        step = math.radians(1.0)
+        cut = pattern_cut(design, F0, plane, step)
+        assert cut.dtype == np.float64
+        assert cut.shape == (181, 2)
+        thetas = [th for th, _ in cut]
+        assert thetas == [k * step for k in range(-90, 91)]
+        assert max(db for _, db in cut) == 0.0
+        assert tuple(cut[90]) == (0.0, 0.0)
+        assert math.copysign(1.0, cut[90][0]) == 1.0
 
 
 class TestCutPlanes:

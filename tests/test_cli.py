@@ -298,10 +298,13 @@ class TestExitCodeMapping:
         assert captured.out == ""
         assert "domain error" in captured.err and message in captured.err
 
-    @pytest.mark.parametrize("geometry", ["rect", "circ"])
-    @pytest.mark.parametrize("command", ["design", "analyze"])
+    @pytest.mark.parametrize("command,geometry", [
+        ("design", "rect"), ("design", "circ"), ("analyze", "rect"), ("analyze", "circ"),
+        ("pattern", "circ"),
+    ])
     def test_infinite_frequency_exits_2(self, capsys, command, geometry):
-        # 1e300 GHz is an infinite f in Hz, whose wavelength would be 0
+        # 1e300 GHz is an infinite f in Hz, whose wavelength would be 0; the
+        # circular radius synthesis refuses it before it brackets a root
         argv = [command, "--geometry", geometry, "--f-ghz", "1e300",
                 "--eps-r", "2.32", "--h-mm", "0.8"]
         assert main(argv) == 2
@@ -318,6 +321,16 @@ class TestExitCodeMapping:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "domain error: radiated power must be finite and > 0" in captured.err
+
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(("# caf\u00e9\n" + CIRC_CONFIG).encode("latin-1"))
+        assert main(["design", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: {cfg}: not UTF-8 text" in captured.err
+        with pytest.raises(ConfigError, match="not UTF-8 text"):
+            cli.load_config(str(cfg))
 
     def test_bad_config_reference_impedance_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "z.cfg"

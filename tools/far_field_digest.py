@@ -11,8 +11,9 @@ Its line carries two hashes, each over the ``float.hex`` of the numbers
 below, in order.
 ``fields=`` hashes the fields and the budget:
 
-* the E and H ``pattern_cut`` at f0 with 1, 0.5, 0.1, 0.7 and 13 degree
-  steps (the last two stop short of 90 degrees);
+* the E and H cuts of ``pattern_cuts`` at f0 with 1, 0.5, 0.1, 0.7 and
+  13 degree steps (the last two stop short of 90 degrees), each cut's
+  (theta, dB) rows in order;
 * a 46 x 73 (theta, phi) ``far_fields`` grid at 1.1 f0 with E0 = 2.5;
 * ``radiated_power_from_pattern`` at f0;
 * every field of ``loss_report`` at f0 except D and G.
@@ -83,8 +84,7 @@ def design_digests(cp, design) -> tuple[str, str]:
     phi = np.linspace(0.0, 2.0 * math.pi, 73)
     report = cp.loss_report(design, f0)
     fields = [
-        [cp.pattern_cut(design, f0, plane, math.radians(step))
-         for step in CUT_STEPS_DEG for plane in ("E", "H")],
+        [cp.pattern_cuts(design, f0, math.radians(step)) for step in CUT_STEPS_DEG],
         cp.far_fields(design, 1.1 * f0, 2.5, theta[:, None], phi[None, :]),
         cp.radiated_power_from_pattern(design, f0),
         [getattr(report, field.name) for field in dataclasses.fields(report)
