@@ -27,8 +27,9 @@ I in (k0 a_eff)^2, whose coefficients are built once at import; above that
 the alternating series loses digits and a fixed 32-node Gauss-Legendre
 rule in theta takes over. :func:`directivity` is 4 / I on its own, for
 callers without a substrate budget. :func:`pattern_cuts` evaluates both
-principal-plane cuts, each a float64 array of (theta in radians, dB) rows,
-from one Bessel pass over theta >= 0; :func:`pattern_cut` returns one.
+principal-plane cuts from one Bessel pass over theta >= 0, each a
+:class:`PatternCut` of theta (radians) and dB columns whose rows iterate as
+floats; :func:`pattern_cut` forms one.
 """
 
 from __future__ import annotations
@@ -498,13 +499,38 @@ def gain(design: CircPatchDesign, f: float, t1_form: str = "printed") -> float:
 _MIN_STEP = math.radians(0.001)
 
 
-def _half_cuts(
+@dataclass(frozen=True, eq=False)
+class PatternCut:
+    """A principal-plane cut as two float64 columns of equal length:
+    ``theta`` (radians, ascending, symmetric about 0) and ``db`` (dB
+    relative to broadside). ``len(cut)`` is the number of rows, and
+    iterating yields the ``(theta, dB)`` rows as Python floats."""
+
+    theta: np.ndarray
+    db: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.theta)
+
+    def __iter__(self):
+        return zip(self.theta.tolist(), self.db.tolist())
+
+
+# The two planes' levels at theta >= 0 from J0 and J2 at k0 a_eff sin(theta):
+# |E_theta| at phi = 0 and |E_phi| at phi = pi/2 over their common
+# prefactor, so both are exactly 1.0 at broadside.
+_PLANE_LEVELS = {
+    "E": lambda theta, j0, j2: np.abs(j0 - j2),
+    "H": lambda theta, j0, j2: np.abs(np.cos(theta) * (j0 + j2)),
+}
+
+
+def _cut_grid(
     design: CircPatchDesign, f: float, step: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The angles theta = k * step >= 0 of a cut, with |E_theta| at phi = 0
-    # and |E_phi| at phi = pi/2 for E0 = 1, from one Bessel pass. The step
-    # is checked before any array is built. The planes are the far_fields
-    # products with cos(0) = sin(pi/2) = 1.0 left out, which changes no bit.
+    # The angles theta = k * step, k = -n..n, of a cut, with J0 and J2 at
+    # the angles theta >= 0 from one Bessel pass. The step is checked
+    # before any array is built.
     if not 0.0 < step <= math.pi / 2 + 1e-12:
         raise DomainError(
             f"pattern step must lie in (0, 90] degrees, got {math.degrees(step)!r} degrees")
@@ -516,53 +542,56 @@ def _half_cuts(
     n = int(round(math.pi / 2 / step))
     while n * step > math.pi / 2 + 1e-12:
         n -= 1
-    theta = np.arange(n + 1) * step
-    k0 = wavenumber(f)
-    j0, j2 = bessel_j_rows((0, 2), k0 * design.a_eff * np.sin(theta))
-    pref = design.substrate.h * k0 * design.a_eff / 2.0
-    return theta, np.abs(pref * (j0 - j2)), np.abs(pref * np.cos(theta) * (j0 + j2))
+    theta = np.arange(-n, n + 1) * step  # (-k) * step is -(k * step) exactly
+    j0, j2 = bessel_j_rows((0, 2), wavenumber(f) * design.a_eff * np.sin(theta[n:]))
+    return theta, j0, j2
 
 
-def _cut_rows(theta: np.ndarray, mags: np.ndarray) -> np.ndarray:
-    # Rows (theta, dB relative to theta = 0) of a cut from its samples at
-    # theta >= 0; the cut is symmetric, so rows at -theta repeat the dB.
-    # math.log10, not np.log10: the two can differ in the last bit
-    n = len(theta) - 1
-    rows = np.empty((2 * n + 1, 2))
-    rows[n:, 0] = theta
-    rows[n:, 1] = [20.0 * math.log10(rel) if rel > 0.0 else -math.inf
-                   for rel in (mags / mags[0]).tolist()]
-    rows[:n] = rows[:n:-1] * (-1.0, 1.0)
-    return rows
+def _cut(theta: np.ndarray, j0: np.ndarray, j2: np.ndarray, plane: str) -> PatternCut:
+    # The plane's levels at theta >= 0 in dB, mirrored onto theta < 0; the
+    # cut is symmetric. A level of 0 gives -inf dB.
+    n = len(j0) - 1
+    level = _PLANE_LEVELS[plane](theta[n:], j0, j2)
+    db = np.empty_like(theta)
+    # entering np.errstate costs more than the log10 pass itself
+    if level.all():
+        np.log10(level, out=db[n:])
+    else:
+        with np.errstate(divide="ignore"):
+            np.log10(level, out=db[n:])
+    db[n:] *= 20.0
+    db[:n] = db[:n:-1]
+    return PatternCut(theta, db)
 
 
 def pattern_cuts(
     design: CircPatchDesign, f: float, step: float = math.pi / 180
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[PatternCut, PatternCut]:
     """Both principal-plane cuts, ``(pattern_cut(.., "E", step),
     pattern_cut(.., "H", step))``, from one Bessel pass."""
-    theta, e_mags, h_mags = _half_cuts(design, f, step)
-    return _cut_rows(theta, e_mags), _cut_rows(theta, h_mags)
+    theta, j0, j2 = _cut_grid(design, f, step)
+    return _cut(theta, j0, j2, "E"), _cut(theta, j0, j2, "H")
 
 
 def pattern_cut(
     design: CircPatchDesign, f: float, plane: str, step: float = math.pi / 180
-) -> np.ndarray:
+) -> PatternCut:
     """Principal-plane pattern cut, normalized to 0 dB at broadside, as a
-    float64 array of shape (n, 2) with rows (theta in radians, dB).
+    :class:`PatternCut` with columns ``theta`` (radians) and ``db``.
 
     ``plane="E"`` is the |E_theta| cut in the phi = 0 plane, ``plane="H"``
     the |E_phi| cut in the phi = pi/2 plane. Theta runs over the multiples
     of ``step`` (radians, from 0.001 degrees to pi/2) in [-pi/2, pi/2]: the
     outermost is round(pi/2 / step) steps out, one fewer where that would
     pass pi/2. Negative angles map to the mirrored azimuth, so the fields
-    are evaluated on theta >= 0 and mirrored. Nulls give -inf dB. For both
-    planes, :func:`pattern_cuts` shares one Bessel pass.
+    are evaluated on theta >= 0 and mirrored. The levels are formed
+    relative to broadside, where both are exactly 1.0, so broadside is
+    exactly 0 dB; nulls give -inf dB. For both planes,
+    :func:`pattern_cuts` shares one Bessel pass.
     """
     if plane not in ("E", "H"):
         raise DomainError(f"plane must be 'E' or 'H', got {plane!r}")
-    theta, e_mags, h_mags = _half_cuts(design, f, step)
-    return _cut_rows(theta, e_mags if plane == "E" else h_mags)
+    return _cut(*_cut_grid(design, f, step), plane)
 
 
 def loss_report(

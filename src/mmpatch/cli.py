@@ -362,9 +362,9 @@ def cmd_pattern(job: JobConfig) -> dict:
     e_cut, h_cut = circpatch.pattern_cuts(design, job.f_design, step)
     clamp = response.RL_CLAMP_DB
     samples = Records(("theta_deg", "e_plane_db", "h_plane_db"), (
-        np.degrees(e_cut[:, 0]),
-        np.maximum(e_cut[:, 1], clamp),
-        np.maximum(h_cut[:, 1], clamp),
+        np.degrees(e_cut.theta),
+        np.maximum(e_cut.db, clamp),
+        np.maximum(h_cut.db, clamp),
     ))
     return {
         "command": "pattern",

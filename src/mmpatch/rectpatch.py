@@ -121,9 +121,14 @@ def q_radiation(sub: SubstrateSpec, f: float, eps_ew: float) -> float:
 def _z0_strip(eps_r: float, W: float, h: float) -> float:
     # Narrow-strip fit for W/h <= 3.3; classical wide-strip fit above.
     # The two fits meet at the branch point to within ~1.5 %.
+    # A W/h beyond the float range overflows the narrow fit's (h / W) ** 2
+    # or takes the wide fit to 0 ohm; both are refused.
     u = W / h
     if u <= 3.3:
-        geo = math.log(4.0 * h / W + math.sqrt(2.0 + 16.0 * (h / W) ** 2))
+        try:
+            geo = math.log(4.0 * h / W + math.sqrt(2.0 + 16.0 * (h / W) ** 2))
+        except OverflowError as exc:
+            raise DomainError(f"strip impedance overflows at W/h = {u!r}") from exc
         corr = (eps_r - 1.0) / (eps_r + 1.0) * (0.2258 + 0.1208 / eps_r)
         return ETA0 / (math.pi * math.sqrt(2.0 * (eps_r + 1.0))) * (geo - corr)
     denom = (
@@ -132,7 +137,10 @@ def _z0_strip(eps_r: float, W: float, h: float) -> float:
         + 0.0823 * (eps_r - 1.0) / eps_r**2
         + (eps_r + 1.0) / eps_r * (0.231 + 0.1592 * math.log(0.5 * u + 0.94))
     )
-    return ETA0 / (2.0 * math.sqrt(eps_r)) / denom
+    z0 = ETA0 / (2.0 * math.sqrt(eps_r)) / denom
+    if not z0 > 0.0:
+        raise DomainError(f"strip impedance must be > 0, got {z0} ohm at W/h = {u!r}")
+    return z0
 
 
 def _feed_factor_raw(x: float) -> float:

@@ -487,8 +487,8 @@ class TestArrayKernelExact:
         fast, ref = self._both(monkeypatch, lambda: [
             pattern_cut(design, F0, plane, step=math.radians(0.5)) for plane in ("E", "H")])
         for a, b in zip(fast, ref):
-            assert a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
+            assert a.theta.tobytes() == b.theta.tobytes()
+            assert a.db.tobytes() == b.db.tobytes()
 
     def test_far_fields_grid(self, design, monkeypatch):
         theta = np.linspace(0.0, math.pi / 2, 46)
@@ -604,8 +604,8 @@ class TestPatternCut:
     def test_h_plane_null_at_horizon(self, design):
         # cos(theta) null; numerically bottomless at the horizon samples
         cut = pattern_cut(design, F0, "H", step=math.radians(5.0))
-        assert cut[0][1] < -250.0
-        assert cut[-1][1] < -250.0
+        assert cut.db[0] < -250.0
+        assert cut.db[-1] < -250.0
 
     def test_unknown_plane_rejected(self, design):
         with pytest.raises(DomainError):
@@ -653,39 +653,69 @@ class TestPatternCut:
         step = math.radians(step_deg)
         for cut, plane in zip(pattern_cuts(design, F0, step), ("E", "H")):
             single = pattern_cut(design, F0, plane, step)
-            assert cut.shape == single.shape
-            assert cut.tobytes() == single.tobytes()
+            assert cut.theta.tobytes() == single.theta.tobytes()
+            assert cut.db.tobytes() == single.db.tobytes()
 
     @pytest.mark.parametrize("plane", ["E", "H"])
     def test_rows_are_theta_and_db(self, design, plane):
-        # the row contract of a cut: float64 (n, 2), each row unpacks to
-        # (theta in radians, dB), and broadside is exactly (0.0, 0.0)
+        # the contract of a cut: float64 columns theta (radians) and db of
+        # length n, rows that iterate as Python floats, and broadside
+        # exactly (0.0, 0.0) with theta = +0.0
         step = math.radians(1.0)
         cut = pattern_cut(design, F0, plane, step)
-        assert cut.dtype == np.float64
-        assert cut.shape == (181, 2)
-        thetas = [th for th, _ in cut]
-        assert thetas == [k * step for k in range(-90, 91)]
+        assert isinstance(cut, circpatch.PatternCut)
+        assert len(cut) == 181
+        for column in (cut.theta, cut.db):
+            assert column.dtype == np.float64
+            assert column.shape == (181,)
+        rows = list(cut)
+        assert len(rows) == 181
+        assert all(type(th) is float and type(db) is float for th, db in rows)
+        assert [th for th, _ in rows] == [k * step for k in range(-90, 91)]
         assert max(db for _, db in cut) == 0.0
-        assert tuple(cut[90]) == (0.0, 0.0)
-        assert math.copysign(1.0, cut[90][0]) == 1.0
+        assert rows[90] == (0.0, 0.0)
+        assert math.copysign(1.0, rows[90][0]) == 1.0
+
+    def test_zero_level_is_minus_inf(self, design, monkeypatch):
+        # an exact null of the E plane at the horizon samples, without a
+        # divide-by-zero warning
+        kernel = circpatch.bessel_j_rows
+
+        def null_at_horizon(orders, x):
+            j0, j2 = kernel(orders, x)
+            j2[-1] = j0[-1]
+            return j0, j2
+
+        monkeypatch.setattr(circpatch, "bessel_j_rows", null_at_horizon)
+        cut = pattern_cut(design, F0, "E", math.radians(5.0))
+        assert cut.db[0] == cut.db[-1] == -math.inf
+        assert np.isfinite(cut.db[1:-1]).all()
+
+    def test_cut_is_frozen(self, design):
+        cut = pattern_cut(design, F0, "E")
+        with pytest.raises(AttributeError):
+            cut.db = cut.theta
 
 
 class TestCutPlanes:
-    # _half_cuts forms the E plane as |pref (J0 - J2)| and the H plane as
-    # |pref cos(theta) (J0 + J2)|: the far_fields products at phi = 0 and
-    # phi = pi/2, where cos and sin are exactly 1.0, bit for bit.
+    # A cut forms the E plane as |J0 - J2| and the H plane as
+    # |cos(theta) (J0 + J2)|: the far_fields magnitudes at phi = 0 and
+    # phi = pi/2 over their broadside value, to a few roundings, and
+    # exactly 1.0 at broadside.
     @pytest.mark.parametrize("step_deg", [1.0, 0.1, 0.7, 13.0])
     # k0 a_eff = 1.21, 1.93 and 3.63: within and above the 1.6 where the
     # directivity rule changes
     @pytest.mark.parametrize("f_scale", [1.0, 1.6, 3.0])
     def test_planes_equal_far_fields(self, design, step_deg, f_scale):
         f = f_scale * F0
-        theta, e_mags, h_mags = circpatch._half_cuts(design, f, math.radians(step_deg))
-        e_ref = far_fields(design, f, 1.0, theta, 0.0)[0]
-        h_ref = far_fields(design, f, 1.0, theta, math.pi / 2)[1]
-        assert e_mags.tobytes() == e_ref.tobytes()
-        assert h_mags.tobytes() == h_ref.tobytes()
+        theta, j0, j2 = circpatch._cut_grid(design, f, math.radians(step_deg))
+        half = theta[len(j0) - 1:]
+        e_ref = far_fields(design, f, 1.0, half, 0.0)[0]
+        h_ref = far_fields(design, f, 1.0, half, math.pi / 2)[1]
+        for plane, ref in (("E", e_ref), ("H", h_ref)):
+            level = circpatch._PLANE_LEVELS[plane](half, j0, j2)
+            assert level[0] == 1.0
+            assert level == pytest.approx(ref / ref[0], rel=1e-15, abs=0.0)
 
 
 class TestLossReport:

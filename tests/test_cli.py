@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from oracles import expand_records
 from mmpatch import cli, response
 from mmpatch.cli import main
 from mmpatch.errors import ConfigError, ConvergenceError, DomainError
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 RECT_CONFIG = """\
 # reference rectangular job
@@ -234,6 +239,24 @@ class TestPattern:
         center = samples[len(samples) // 2]
         assert (center["theta_deg"], center["e_plane_db"], center["h_plane_db"]) == (0, 0, 0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowed_disk_gives_a_finite_pattern(self, tmp_path):
+        # k0 a_eff ~ 1e-300 and h = 1e-303 m: the levels are formed relative
+        # to broadside, so no product underflows into 0 / 0
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("geometry = circ\nf_ghz = 39\nsubstrate.eps_r = 1\n"
+                       "substrate.h_mm = 1e-300\npatch.a_mm = 1e-300\n")
+        out = tmp_path / "tiny.json"
+        assert main(["pattern", "--config", str(cfg), "--out", str(out)]) == 0
+        samples = json.loads(out.read_text())["samples"]
+        assert len(samples) == 181
+        center = samples[90]
+        assert (center["theta_deg"], center["e_plane_db"], center["h_plane_db"]) == (0, 0, 0)
+        assert all(math.isfinite(v) for s in samples for v in s.values())
+        # an electrically tiny disk: the E plane is flat, the H plane cos(theta)
+        assert all(s["e_plane_db"] == 0.0 for s in samples)
+        assert samples[45]["h_plane_db"] == pytest.approx(20 * math.log10(math.cos(math.pi / 4)))
+
     def test_step_above_90_degrees_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"
         cfg.write_text(CIRC_CONFIG + "pattern.step_deg = 100\n")
@@ -283,6 +306,42 @@ class TestExitCodeMapping:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "reference impedance must be a finite, normal float > 0" in captured.err
+
+    @pytest.mark.parametrize("command", ["pattern", "analyze"])
+    def test_huge_disk_exits_2(self, tmp_path, command):
+        # k0 a_eff near 1e300 is past the Bessel kernel's bound; before the
+        # bound, Miller's recurrence from order ~x never returned. A child
+        # process with a timeout turns such a stall into a failure.
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(CIRC_CONFIG + "patch.a_mm = 1e300\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "mmpatch.cli", command, "--config", str(cfg)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "Bessel arguments must be finite with |x| <= 100" in proc.stderr
+
+    def test_rect_strip_width_past_float_range_exits_2(self, capsys):
+        # W/h overflows to inf at h = 1e-300 mm, which took the wide-strip
+        # impedance to 0 ohm and the analysis to a ZeroDivisionError
+        argv = ["sweep", "--geometry", "rect", "--f-ghz", "1e-9", "--eps-r", "2.32",
+                "--h-mm", "1e-300"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "strip impedance must be > 0" in captured.err
+
+    def test_rect_strip_height_past_float_range_exits_2(self, tmp_path, capsys):
+        # (h / W) ** 2 overflows in the narrow-strip impedance
+        cfg = tmp_path / "thick.cfg"
+        cfg.write_text("geometry = rect\nf_ghz = 39\nsubstrate.eps_r = 1\n"
+                       "substrate.h_mm = 1e300\npatch.l_mm = 1\npatch.w_mm = 2.32\n")
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "strip impedance overflows" in captured.err
 
     @pytest.mark.parametrize("command,flag,value,message", [
         ("design", "--tan-delta", "inf", "loss tangent must be finite"),

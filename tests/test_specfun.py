@@ -64,6 +64,14 @@ class TestBesselJ:
             with pytest.raises(DomainError):
                 bessel_j(0, bad)
 
+    @pytest.mark.parametrize("bad", [101.0, -101.0, math.nan])
+    def test_rejects_argument_past_the_bound(self, bad):
+        # Miller's recurrence starts near order x, so a huge x would not
+        # return; the refusal names the argument
+        with pytest.raises(DomainError, match=rf"\|x\| <= 100, got {bad!r}"):
+            bessel_j(0, bad)
+        assert bessel_j(0, 100.0) == pytest.approx(float(special.jv(0, 100.0)), abs=1e-10)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
     def test_recurrence_identity(self, n):
         # J_{n-1}(x) + J_{n+1}(x) = (2n/x) J_n(x) on (0, 20]
@@ -201,6 +209,17 @@ class TestBesselRows:
             bessel_j_rows((0, 2), np.array([[0.5, bad]]))
         with pytest.raises(DomainError):
             bessel_j_rows((1,), bad)
+
+    @pytest.mark.parametrize("bad", [101.0, -101.0, math.nan])
+    def test_rejects_argument_past_the_bound(self, bad):
+        message = rf"\|x\| <= 100, got {bad!r}"
+        with pytest.raises(DomainError, match=message):
+            bessel_j_rows((0, 2), np.array([[0.5, 100.0], [bad, 2.0]]))
+        with pytest.raises(DomainError, match=message):
+            bessel_j_rows((1,), bad)
+
+    def test_empty_argument_array(self):
+        assert bessel_j_rows((0, 2), np.array([])).shape == (2, 0)
 
 
 def _ulp_neighbourhood(x, ulps=50):

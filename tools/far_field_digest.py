@@ -84,7 +84,9 @@ def design_digests(cp, design) -> tuple[str, str]:
     phi = np.linspace(0.0, 2.0 * math.pi, 73)
     report = cp.loss_report(design, f0)
     fields = [
-        [cp.pattern_cuts(design, f0, math.radians(step)) for step in CUT_STEPS_DEG],
+        # a cut's rows in order, whatever container holds them
+        [[list(cut) for cut in cp.pattern_cuts(design, f0, math.radians(step))]
+         for step in CUT_STEPS_DEG],
         cp.far_fields(design, 1.1 * f0, 2.5, theta[:, None], phi[None, :]),
         cp.radiated_power_from_pattern(design, f0),
         [getattr(report, field.name) for field in dataclasses.fields(report)
