@@ -7,25 +7,27 @@ J1'). The effective radius includes the fringing enlargement by default; a
 no-fringing mode is available behind the ``fringing`` flag for literal
 closed-form reproduction.
 
-Loss bookkeeping is one budget pass per (design, f, t1_form). It evaluates
-the pattern integral I of Balanis section 14.3 once, in ``_radiation``,
-and takes from it the radiation resistance R_r, the radiated power P_r and
-the directivity D = 4 / I. Surface-wave, conductor, and dielectric
-resistances are series terms proportional to their loss powers,
-R_x = R_r * P_x / P_r, so the efficiency R_r / R_total equals the radiated
-fraction of the input power exactly. The stored energy is Lommel's exact
-integral of the mode profile. The pass yields all powers, the resistances,
-the Q, e_r, D and G, and refuses a P_r, R_r or R_total that is not finite
-and positive; read it through :func:`loss_report`, :func:`r_total_circ`,
-:func:`resonator_terms_circ`, :func:`efficiency`, :func:`gain` and
-:func:`p_radiated`. The alternative closed-form (voltage route)
-conductor/dielectric resistances are kept as cross-checks in
+Loss bookkeeping is one budget pass per (design, f, t1_form),
+:func:`circ_analysis`. It evaluates the pattern integral I of Balanis
+section 14.3 once, in ``_radiation``, and takes from it the radiation
+resistance R_r, the radiated power P_r and the directivity D = 4 / I.
+Surface-wave, conductor, and dielectric resistances are series terms
+proportional to their loss powers, R_x = R_r * P_x / P_r, so the efficiency
+R_r / R_total equals the radiated fraction of the input power exactly. The
+stored energy is Lommel's exact integral of the mode profile. The pass
+returns a :class:`mmpatch.media.PatchAnalysis` (total-basis r_in at the
+feed radius, Q = omega W_T over the summed loss powers) and a
+:class:`CircLossReport` at unit edge field, which :func:`loss_report`,
+:func:`r_total_circ`, :func:`efficiency` and :func:`gain` read; it refuses
+a P_r, R_r or R_total that is not finite and positive. The alternative
+closed-form (voltage route) conductor/dielectric resistances are kept as cross-checks in
 :func:`r_conductor_circ_printed` / :func:`r_dielectric_circ_printed`.
 
 Far field: for k0 a_eff <= 1.6, I is summed from the exact power series of
 I in (k0 a_eff)^2, whose coefficients are built once at import; above that
 the alternating series loses digits and a fixed 32-node Gauss-Legendre
-rule in theta takes over. :func:`directivity` is 4 / I on its own, for
+rule in theta takes over, up to k0 a_eff = 20; past 20 I is refused with
+``DomainError``. :func:`directivity` is 4 / I on its own, for
 callers without a substrate budget. :func:`pattern_cuts` evaluates both
 principal-plane cuts from one Bessel pass over theta >= 0, each a
 :class:`PatternCut` of theta (radians) and dB columns whose rows iterate as
@@ -35,13 +37,12 @@ floats; :func:`pattern_cut` forms one.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, SynthesisError
-from .media import (EPS0, ETA0, MU0, C0, ResistanceBreakdown, SubstrateSpec,
+from .media import (EPS0, ETA0, MU0, C0, PatchAnalysis, ResistanceBreakdown, SubstrateSpec,
                     free_space_wavelength, surface_wave_factor, wavenumber)
 from .specfun import Bracket, bessel_j, bessel_j_rows, find_root_bracketed
 
@@ -163,10 +164,11 @@ def _radiation(design: CircPatchDesign, f: float) -> tuple[float, float, float]:
     i = _pattern_integral(2.0 * math.pi / lam0 * a_eff)
     h = design.substrate.h
     area = math.pi**3 * a_eff * a_eff  # a product, where ** would raise on overflow
-    r_r = lam0 * lam0 * ETA0 / (area * i)
+    # a disk whose area underflows radiates nothing, behind an infinite R_r
+    r_r = lam0 * lam0 * ETA0 / (area * i) if area * i > 0.0 else math.inf
     p_r = area * h * h / (2.0 * lam0 * lam0 * ETA0) * i
     if not (0.0 < p_r < math.inf and 0.0 < r_r < math.inf):
-        # V0^2 = h^2 underflows, or the disk or wavelength overflows
+        # V0^2 = h^2 or the disk's area underflows, or the disk or wavelength overflows
         raise DomainError(
             f"radiated power must be finite and > 0, got {p_r} W (R_r = {r_r} ohm)")
     return r_r, p_r, 4.0 / i
@@ -221,13 +223,12 @@ def r_conductor_circ_printed(design: CircPatchDesign, f: float) -> float:
     return 4.0 * MU0 * f * sub.h**2 * math.sqrt(math.pi * f * MU0 * sub.sigma) / _EDGE_BRACKET
 
 
-# Powers and stored energy at unit edge field, with the series resistances
-# R_x = R_r * P_x / P_r they imply, the Q, the efficiency, the directivity
-# and the gain.
-_Budget = namedtuple("_Budget", "P_r P_s P_c P_d W_T breakdown Q e_r D G")
-
-
-def _budget(design: CircPatchDesign, f: float, t1_form: str) -> _Budget:
+def circ_analysis(
+    design: CircPatchDesign, f: float, t1_form: str = "printed"
+) -> tuple[PatchAnalysis, CircLossReport]:
+    """The budget pass at f: the breakdown, the total-basis input resistance
+    at the design's feed radius and Q = omega W_T over the summed loss
+    powers, with the powers, W_T, e_r, D and G at unit edge field."""
     sub = design.substrate
     r_r, p_r, d = _radiation(design, f)
     _, t1 = surface_wave_factor(sub, f, t1_form)
@@ -240,21 +241,20 @@ def _budget(design: CircPatchDesign, f: float, t1_form: str) -> _Budget:
     r_total = r_r + r_s + r_c + r_d
     if not 0.0 < r_total < math.inf:
         raise DomainError(f"total resistance must be finite and > 0, got {r_total} ohm")
+    breakdown = ResistanceBreakdown(R_r=r_r, R_s=r_s, R_c=r_c, R_d=r_d, R_total=r_total)
     # omega W_T over the summed powers, written as omega W_T R_r / (P_r R_total)
     q = omega * w_t * r_r / (p_r * r_total)
     e_r = r_r / r_total
-    return _Budget(
-        P_r=p_r, P_s=t1 * p_r, P_c=p_c, P_d=p_d, W_T=w_t,
-        breakdown=ResistanceBreakdown(R_r=r_r, R_s=r_s, R_c=r_c, R_d=r_d, R_total=r_total),
-        Q=q, e_r=e_r, D=d, G=e_r * d,
-    )
+    report = CircLossReport(P_r=p_r, P_s=t1 * p_r, P_c=p_c, P_d=p_d, W_T=w_t,
+                            breakdown=breakdown, e_r=e_r, D=d, G=e_r * d)
+    return PatchAnalysis(f, breakdown, r_total * _feed_taper(design, design.rho0), q), report
 
 
 def r_total_circ(
     design: CircPatchDesign, f: float, t1_form: str = "printed"
 ) -> ResistanceBreakdown:
     """Series resistance breakdown at the edge-equivalent reference."""
-    return _budget(design, f, t1_form).breakdown
+    return circ_analysis(design, f, t1_form)[0].breakdown
 
 
 def _feed_taper(design: CircPatchDesign, rho0: float | None) -> float:
@@ -294,16 +294,6 @@ def input_resistance_circ(
     if rho0 is None:
         rho0 = design.rho0
     return _basis_resistance(design, f, basis, t1_form) * _feed_taper(design, rho0)
-
-
-def resonator_terms_circ(
-    design: CircPatchDesign, f: float, t1_form: str = "printed"
-) -> tuple[float, float]:
-    """Total-basis input resistance at the design's feed radius and the Q
-    (omega W_T over the summed loss powers), both from one budget pass; the
-    first equals ``input_resistance_circ(design, f, basis="total")``."""
-    b = _budget(design, f, t1_form)
-    return b.breakdown.R_total * _feed_taper(design, design.rho0), b.Q
 
 
 def feed_radius_for_match(
@@ -416,7 +406,9 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 # The 32-node Gauss-Legendre rule on theta in [0, pi/2], built once. The
 # directivity integrand is analytic in theta, so the rule converges
 # exponentially: within ~1e-15 of an adaptive reference for k0 a_eff <= 8
-# and ~2e-14 up to 20.
+# and ~2e-14 up to _MAX_K0A. Past it the rule loses accuracy fast (7e-4
+# at 82), so I is refused there.
+_MAX_K0A = 20.0
 _GL_X, _GL_W = _gauss_legendre(32)
 _GL_THETA = 0.25 * math.pi * (_GL_X + 1.0)
 _GL_WEIGHTS = 0.25 * math.pi * _GL_W
@@ -456,7 +448,9 @@ _PATTERN_SERIES = _pattern_series(15)
 
 def _pattern_integral(k0a: float) -> float:
     # I at k0 a_eff: the power series up to _SERIES_MAX_K0A, the
-    # Gauss-Legendre rule above
+    # Gauss-Legendre rule above, and a DomainError past _MAX_K0A
+    if not k0a <= _MAX_K0A:
+        raise DomainError(f"pattern integral needs k0*a_eff <= {_MAX_K0A:g}, got {k0a!r}")
     if k0a <= _SERIES_MAX_K0A:
         s2 = k0a * k0a
         total = 0.0
@@ -480,19 +474,19 @@ def directivity(design: CircPatchDesign, f: float) -> float:
     its own resonance on any substrate with eps_r >= 1.33), I is summed from
     its exact power series in (k0 a_eff)^2, within 5e-16 of the exact D;
     above, I is a fixed 32-node Gauss-Legendre rule on [0, pi/2], within
-    about 1e-15 up to 8 and 2e-14 up to 20.
+    about 1e-15 up to 8 and 2e-14 up to 20. Past 20 it raises DomainError.
     """
     return 4.0 / _pattern_integral(wavenumber(f) * design.a_eff)
 
 
 def efficiency(design: CircPatchDesign, f: float, t1_form: str = "printed") -> float:
     """Radiated fraction of the input power, e_r = R_r / R_total in (0, 1]."""
-    return _budget(design, f, t1_form).e_r
+    return circ_analysis(design, f, t1_form)[1].e_r
 
 
 def gain(design: CircPatchDesign, f: float, t1_form: str = "printed") -> float:
     """G = e_r * D (dimensionless), from one budget pass."""
-    return _budget(design, f, t1_form).G
+    return circ_analysis(design, f, t1_form)[1].G
 
 
 # Steps below this would give more than 180,001 samples per cut.
@@ -601,11 +595,11 @@ def loss_report(
     and gain in one record; powers and energy scale with E0^2, nothing else
     depends on it."""
     _check_e0(E0, zero_ok=True)
-    b = _budget(design, f, t1_form)
+    rep = circ_analysis(design, f, t1_form)[1]
     e0sq = E0 * E0
     return CircLossReport(
-        P_r=e0sq * b.P_r, P_s=e0sq * b.P_s, P_c=e0sq * b.P_c, P_d=e0sq * b.P_d,
-        W_T=e0sq * b.W_T, breakdown=b.breakdown, e_r=b.e_r, D=b.D, G=b.G,
+        P_r=e0sq * rep.P_r, P_s=e0sq * rep.P_s, P_c=e0sq * rep.P_c, P_d=e0sq * rep.P_d,
+        W_T=e0sq * rep.W_T, breakdown=rep.breakdown, e_r=rep.e_r, D=rep.D, G=rep.G,
     )
 
 

@@ -276,8 +276,8 @@ def cmd_design(job: JobConfig) -> dict:
         design = _circ_design(job)
         f_res = circpatch.resonant_frequency(design.a, job.substrate,
                                              fringing=job.variant != "no-fringing")
-        r_in = circpatch.input_resistance_circ(design, f_res, basis="total",
-                                               t1_form=job.t1_form)
+        # not a ResonatorModel, which refuses the r_in = 0 of a centre feed
+        r_in = circpatch.circ_analysis(design, f_res, job.t1_form)[0].r_in
         _, _, vswr = response.mismatch(r_in, job.zref)
         report["design"] = {
             "a_mm": design.a * 1e3,

@@ -1,6 +1,6 @@
 """Physical constants, free-space propagation, substrates, the thick/thin
 substrate regime classifier, and the slab pieces both patch geometries
-share: the surface-wave factor and the series resistance breakdown.
+share: the surface-wave factor, the resistance breakdown and the analysis record.
 """
 
 from __future__ import annotations
@@ -50,6 +50,18 @@ class ResistanceBreakdown:
     R_c: float
     R_d: float
     R_total: float
+
+
+@dataclass(frozen=True)
+class PatchAnalysis:
+    """One geometry's analysis at evaluation frequency ``f`` (Hz): the
+    series resistance breakdown, the input resistance ``r_in`` at the
+    design's feed (ohm), and the ``Q`` its resonator model uses."""
+
+    f: float
+    breakdown: ResistanceBreakdown
+    r_in: float
+    Q: float
 
 
 class Regime(Enum):

@@ -7,9 +7,9 @@ resonant input resistance into four series terms:
 
 with the radiation term additionally tapered by the feed inset position.
 The surface-wave term is tied to the radiation term through the loss factor
-T1 returned by :func:`mmpatch.media.surface_wave_factor`. The pass has three
-readers: :func:`input_resistance_rect`, :func:`resonator_terms_rect` and
-:func:`analyze_rect`, whose :class:`RectDerived` holds every intermediate term.
+T1 returned by :func:`mmpatch.media.surface_wave_factor`. :func:`rect_analysis`
+and :func:`input_resistance_rect` read the pass's record, with Q = Q_r;
+:func:`analyze_rect` also reports the chain's terms in :class:`RectDerived`.
 
 Two radiation-resistance model variants are exposed and must be selected
 explicitly:
@@ -24,12 +24,11 @@ explicitly:
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError, SingularFeedError, SynthesisError
-from .media import (ETA0, MU0, ResistanceBreakdown, SubstrateSpec, free_space_wavelength,
-                    surface_wave_factor, wavenumber)
+from .media import (ETA0, MU0, PatchAnalysis, ResistanceBreakdown, SubstrateSpec,
+                    free_space_wavelength, surface_wave_factor, wavenumber)
 
 RECT_VARIANTS = ("eq8-literal", "calibrated")
 
@@ -134,7 +133,7 @@ def _z0_strip(eps_r: float, W: float, h: float) -> float:
     denom = (
         0.5 * u
         + 0.4413
-        + 0.0823 * (eps_r - 1.0) / eps_r**2
+        + 0.0823 * (eps_r - 1.0) / (eps_r * eps_r)
         + (eps_r + 1.0) / eps_r * (0.231 + 0.1592 * math.log(0.5 * u + 0.94))
     )
     z0 = ETA0 / (2.0 * math.sqrt(eps_r)) / denom
@@ -154,11 +153,10 @@ def _feed_factor_raw(x: float) -> float:
     return (1.0 - math.sin(2.0 * x) / math.sin(x)) / denom
 
 
-# Every term of the analysis chain at one (design, f, variant, t1_form).
-_RectPass = namedtuple("_RectPass", "eps_ew Z0w W_eq L_ef delta_L K1 T1 Q_r R_r R_s R_c R_d r_in")
-
-
-def _rect_pass(design: RectPatchDesign, f: float, variant: str, t1_form: str) -> _RectPass:
+def _rect_pass(
+    design: RectPatchDesign, f: float, variant: str, t1_form: str
+) -> tuple[PatchAnalysis, tuple[float, ...]]:
+    # the analysis at f, and the chain's terms in RectDerived's field order
     sub = design.substrate
     L, W, h = design.L, design.W, sub.h
     k1, t1 = surface_wave_factor(sub, f, t1_form)
@@ -187,41 +185,34 @@ def _rect_pass(design: RectPatchDesign, f: float, variant: str, t1_form: str) ->
     if not 0.0 < r_in < math.inf:
         # a negative feed taper (thick low-permittivity laminates) or an overflow
         raise DomainError(f"input resistance must be finite and > 0, got {r_in} ohm")
-    return _RectPass(eew, z0w, w_eq, l_ef, d_l, k1, t1, q_r, r_r, r_s, r_c, r_d, r_in)
+    breakdown = ResistanceBreakdown(r_r, r_s, r_c, r_d, R_total=r_r + r_s + r_c + r_d)
+    return PatchAnalysis(f, breakdown, r_in, q_r), (eew, z0w, w_eq, l_ef, d_l, k1, t1, q_r)
+
+
+def rect_analysis(
+    design: RectPatchDesign, f: float, variant: str, t1_form: str = "printed"
+) -> PatchAnalysis:
+    """The analysis at f: the breakdown, the input resistance at the design's
+    feed inset and Q = Q_r. ``t1_form`` selects the surface-wave loss factor
+    (see :func:`mmpatch.media.surface_wave_factor`)."""
+    return _rect_pass(design, f, variant, t1_form)[0]
 
 
 def input_resistance_rect(
     design: RectPatchDesign, f: float, variant: str, t1_form: str = "printed"
 ) -> float:
-    """Resonant input resistance at the design's feed inset.
-
-    The radiation term is tapered with feed position; surface-wave,
-    conductor, and dielectric terms add in series untapered. ``t1_form``
-    selects the surface-wave loss factor (see :func:`mmpatch.media.surface_wave_factor`).
-    """
-    return _rect_pass(design, f, variant, t1_form).r_in
-
-
-def resonator_terms_rect(
-    design: RectPatchDesign, f: float, variant: str, t1_form: str = "printed"
-) -> tuple[float, float]:
-    """Input resistance at the design's feed inset and the radiation Q, both
-    from one analysis pass; equal to :func:`input_resistance_rect` and
-    ``q_radiation(sub, f, eps_effective(sub, L))``."""
-    p = _rect_pass(design, f, variant, t1_form)
-    return p.r_in, p.Q_r
+    """Resonant input resistance at the design's feed inset; the radiation
+    term is tapered with feed position, the other three add untapered."""
+    return _rect_pass(design, f, variant, t1_form)[0].r_in
 
 
 def analyze_rect(
     design: RectPatchDesign, f: float, variant: str, t1_form: str = "printed"
 ) -> tuple[ResistanceBreakdown, RectDerived, float]:
-    """Full analysis: resistance breakdown, derived intermediates, and the
-    input resistance at the design's feed inset, with the surface-wave
-    term from ``t1_form``; every term comes from one analysis pass."""
-    p = _rect_pass(design, f, variant, t1_form)
+    """Resistance breakdown, derived intermediates, and the input resistance
+    at the design's feed inset, all from one analysis pass."""
+    a, terms = _rect_pass(design, f, variant, t1_form)
     sub = design.substrate
-    # the pass holds the first eight fields of RectDerived, then R_r R_s R_c R_d
-    breakdown = ResistanceBreakdown(*p[8:12], R_total=p.R_r + p.R_s + p.R_c + p.R_d)
-    derived = RectDerived(*p[:8], _z0_strip(1.0, design.W, sub.h),
+    derived = RectDerived(*terms, _z0_strip(1.0, design.W, sub.h),
                           free_space_wavelength(f) / math.sqrt(sub.eps_r))
-    return breakdown, derived, p.r_in
+    return a.breakdown, derived, a.r_in

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import circpatch, rectpatch
 from .errors import DomainError
+from .media import PatchAnalysis
 from .tables import Records, csv_text
 
 RL_CLAMP_DB = -100.0          # keeps CSV/JSON finite on a perfect match
@@ -174,25 +175,26 @@ def _mismatch(z: np.ndarray, z_ref) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return gmag.reshape(shape)[()], rl.reshape(shape)[()], vs.reshape(shape)[()]
 
 
+def _resonator(a: PatchAnalysis) -> ResonatorModel:
+    # the RLC stand-in of one analysis, resonant at its evaluation frequency
+    return ResonatorModel(f_res=a.f, r_res=a.r_in, q_total=a.Q)
+
+
 def rect_resonator(
     design: rectpatch.RectPatchDesign, variant: str, t1_form: str = "printed"
 ) -> ResonatorModel:
-    """RLC stand-in for a rectangular design: resonance at the design
-    frequency, resistance from the feed-inset analysis (surface-wave term
-    from ``t1_form``), Q from the radiation quality factor."""
-    f0 = design.f_design
-    r_res, q = rectpatch.resonator_terms_rect(design, f0, variant, t1_form)
-    return ResonatorModel(f_res=f0, r_res=r_res, q_total=q)
+    """RLC stand-in for a rectangular design: its analysis at the design
+    frequency (:func:`mmpatch.rectpatch.rect_analysis`), with Q = Q_r."""
+    return _resonator(rectpatch.rect_analysis(design, design.f_design, variant, t1_form))
 
 
 def circ_resonator(design: circpatch.CircPatchDesign,
                    t1_form: str = "printed") -> ResonatorModel:
-    """RLC stand-in for a circular design: resonance from the effective
-    radius, resistance at the design's feed radius (total basis), Q from the
-    energy budget."""
+    """RLC stand-in for a circular design: its budget pass
+    (:func:`mmpatch.circpatch.circ_analysis`) at the resonance of the
+    effective radius, with the total-basis r_in at the feed radius."""
     f_res = circpatch.resonant_frequency(design.a_eff, design.substrate, fringing=False)
-    r_res, q = circpatch.resonator_terms_circ(design, f_res, t1_form)
-    return ResonatorModel(f_res=f_res, r_res=r_res, q_total=q)
+    return _resonator(circpatch.circ_analysis(design, f_res, t1_form)[0])
 
 
 def sweep(model: ResonatorModel, spec: SweepSpec) -> FrequencyResponse:

@@ -10,6 +10,7 @@ from mmpatch import circpatch
 from mmpatch.circpatch import (
     J1P_FIRST_ROOT,
     CircPatchDesign,
+    circ_analysis,
     circ_design_from_radius,
     directivity,
     effective_radius,
@@ -28,14 +29,13 @@ from mmpatch.circpatch import (
     radiated_power_from_pattern,
     resonant_frequency,
     resonant_radius,
-    resonator_terms_circ,
     stored_energy,
     stored_energy_closed_form,
     synth_circ,
 )
 from mmpatch.errors import DomainError
 from mmpatch.media import C0, ETA0, MU0, SubstrateSpec, surface_wave_factor, wavenumber
-from mmpatch.response import circ_resonator
+from mmpatch.response import ResonatorModel, circ_resonator
 from mmpatch.specfun import bessel_j, jprime_first_root
 
 from oracles import pattern_integral_series, pattern_power
@@ -252,11 +252,14 @@ class TestResistances:
         r_c_p = r_conductor_circ_printed(design, F0)
         assert r_d_p == pytest.approx(GOLD["R_d_printed"], rel=1e-9)
         assert r_c_p == pytest.approx(GOLD["R_c_printed"], rel=1e-9)
-        # voltage route: closed forms equal (E0 h)^2 / (2 P_x)
+        # voltage route: closed forms equal (E0 h)^2 / (2 P_x), and the
+        # stored energy written with f equals the budget's W_T, to rounding
+        # (4.4e-16, 2.2e-16 and 2.2e-16 at the reference)
         v0sq = sub.h**2
         rep = loss_report(design, F0)
-        assert r_d_p == pytest.approx(v0sq / (2.0 * rep.P_d), rel=1e-5)
-        assert r_c_p == pytest.approx(v0sq / (2.0 * rep.P_c), rel=1e-5)
+        assert r_d_p == pytest.approx(v0sq / (2.0 * rep.P_d), rel=1e-12)
+        assert r_c_p == pytest.approx(v0sq / (2.0 * rep.P_c), rel=1e-12)
+        assert stored_energy_closed_form(design, F0) == pytest.approx(rep.W_T, rel=1e-12)
         # R_d_printed * tan_delta is invariant in tan_delta
         doubled = circ_design_from_radius(design.a, replace(sub, tan_delta=2e-3), F0)
         assert r_dielectric_circ_printed(doubled, F0) * 2e-3 == pytest.approx(
@@ -307,21 +310,27 @@ class TestQuality:
     def test_energy_over_summed_powers(self, design):
         rep = loss_report(design, F0)
         p_sum = rep.P_r + rep.P_s + rep.P_c + rep.P_d
-        assert resonator_terms_circ(design, F0)[1] == pytest.approx(
+        assert circ_analysis(design, F0)[0].Q == pytest.approx(
             2.0 * math.pi * F0 * rep.W_T / p_sum, rel=1e-12)
 
     def test_reference_value(self, design):
         f_res = resonant_frequency(design.a, design.substrate)
-        assert resonator_terms_circ(design, f_res)[1] == pytest.approx(GOLD["Q"], rel=1e-9)
+        assert circ_analysis(design, f_res)[0].Q == pytest.approx(GOLD["Q"], rel=1e-9)
 
     def test_resonator_terms_equal_separate_calls(self, sub):
         d = synth_circ(F0, sub)
-        r_in, q = resonator_terms_circ(d, F0)
-        assert r_in == input_resistance_circ(d, F0, basis="total")
+        a, rep = circ_analysis(d, F0)
+        assert a.f == F0
+        assert a.breakdown == rep.breakdown
+        assert a.r_in == input_resistance_circ(d, F0, basis="total")
         # the Q of the same pass that fills the loss report
-        rep = loss_report(d, F0)
+        assert rep == loss_report(d, F0)
         b = rep.breakdown
-        assert q == 2.0 * math.pi * F0 * rep.W_T * b.R_r / (rep.P_r * b.R_total)
+        assert a.Q == 2.0 * math.pi * F0 * rep.W_T * b.R_r / (rep.P_r * b.R_total)
+        # the resonator is the record at the effective radius's resonance
+        m = circ_resonator(d)
+        a = circ_analysis(d, m.f_res)[0]
+        assert m == ResonatorModel(a.f, a.r_in, a.Q)
 
 
 class TestLossPowers:
@@ -527,6 +536,21 @@ class TestDirectivityEfficiencyGain:
         rel = 1e-14 if k0a <= 4.0 else 1e-12
         assert directivity(d, F0) == pytest.approx(4.0 / power, rel=rel, abs=0.0)
 
+    @pytest.mark.parametrize("k0a", [20.000001, 25.0, 82.0])
+    def test_refused_past_stated_accuracy(self, sub, k0a):
+        # past k0 a_eff = 20 the 32-node rule drifts (7e-4 in D at 82):
+        # D, R_r and P_r refuse instead of reporting it
+        a_eff = k0a / wavenumber(F0)
+        d = CircPatchDesign(a=a_eff, a_eff=a_eff, rho0=None, substrate=sub, f_design=F0)
+        for read in (directivity, loss_report, p_radiated):
+            with pytest.raises(DomainError, match=r"pattern integral needs k0\*a_eff <= 20"):
+                read(d, F0)
+
+    @pytest.mark.parametrize("k0a", [math.inf, math.nan])
+    def test_non_finite_argument_refused(self, k0a):
+        with pytest.raises(DomainError, match=r"pattern integral needs k0\*a_eff <= 20"):
+            circpatch._pattern_integral(k0a)
+
     @pytest.mark.parametrize("k0a", [0.5, 0.9, 1.2, 1.3, 1.4, 1.45, 1.5, 1.55, 1.58, 1.6])
     def test_series_range_correct_to_rounding(self, sub, k0a):
         # against the exact rational sum at the k0 a_eff the model sees; the
@@ -729,7 +753,7 @@ class TestLossReport:
         for eps_r in CATALOGUE_EPS_R:
             for h_mm in CATALOGUE_H_MM:
                 d = synth_circ(F0, SubstrateSpec(eps_r=eps_r, h=h_mm * 1e-3))
-                assert resonator_terms_circ(d, F0)[0] == input_resistance_circ(
+                assert circ_analysis(d, F0)[0].r_in == input_resistance_circ(
                     d, F0, basis="total")
                 for E0 in (0.0, 1.0, 3.0):
                     rep = loss_report(d, F0, E0)
@@ -772,11 +796,21 @@ class TestBudgetRefusals:
     def test_non_finite_budget_rejected(self, sub, message):
         # no feed placement, which reads R_r: the budget itself refuses
         d = circ_design_from_radius(resonant_radius(F0, sub), sub, F0)
-        for read in (loss_report, r_total_circ, resonator_terms_circ, efficiency, gain):
+        for read in (loss_report, r_total_circ, circ_analysis, efficiency, gain):
             with pytest.raises(DomainError, match=message):
                 read(d, F0)
         with pytest.raises(DomainError, match=message):
             input_resistance_circ(d, F0, basis="total")
+
+    def test_underflowing_disk_area_refused(self, sub):
+        # pi^3 a_eff^2 underflows to 0, and R_r = lam0^2 eta0 / (area I)
+        # raised ZeroDivisionError
+        tiny = circ_design_from_radius(1e-303, sub, F0)
+        assert math.pi**3 * tiny.a_eff * tiny.a_eff == 0.0
+        for read in (loss_report, p_radiated, circ_analysis,
+                     lambda d, f: input_resistance_circ(d, f, basis="radiation")):
+            with pytest.raises(DomainError, match="radiated power must be finite and > 0"):
+                read(tiny, F0)
 
     @pytest.mark.parametrize("sub,f", [
         # V0^2 = h^2 underflows, so P_r is 0

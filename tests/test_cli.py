@@ -307,11 +307,15 @@ class TestExitCodeMapping:
         assert captured.out == ""
         assert "reference impedance must be a finite, normal float > 0" in captured.err
 
-    @pytest.mark.parametrize("command", ["pattern", "analyze"])
-    def test_huge_disk_exits_2(self, tmp_path, command):
-        # k0 a_eff near 1e300 is past the Bessel kernel's bound; before the
-        # bound, Miller's recurrence from order ~x never returned. A child
-        # process with a timeout turns such a stall into a failure.
+    @pytest.mark.parametrize("command,message", [
+        pytest.param("pattern", "Bessel arguments must be finite with |x| <= 100", id="pattern"),
+        pytest.param("analyze", "pattern integral needs k0*a_eff <= 20", id="analyze"),
+    ])
+    def test_huge_disk_exits_2(self, tmp_path, command, message):
+        # k0 a_eff near 1e300 is past the pattern integral's bound (analyze)
+        # and the Bessel kernel's (pattern); before the bounds, Miller's
+        # recurrence from order ~x never returned. A child process with a
+        # timeout turns such a stall into a failure.
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(CIRC_CONFIG + "patch.a_mm = 1e300\n")
         env = dict(os.environ)
@@ -321,7 +325,7 @@ class TestExitCodeMapping:
                               env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
-        assert "Bessel arguments must be finite with |x| <= 100" in proc.stderr
+        assert message in proc.stderr
 
     def test_rect_strip_width_past_float_range_exits_2(self, capsys):
         # W/h overflows to inf at h = 1e-300 mm, which took the wide-strip
@@ -342,6 +346,25 @@ class TestExitCodeMapping:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "strip impedance overflows" in captured.err
+
+    def test_circ_vanishing_disk_exits_2(self, tmp_path, capsys):
+        # the disk's area underflows to 0, which ended in a ZeroDivisionError
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(CIRC_CONFIG + "patch.a_mm = 1e-300\n")
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "radiated power must be finite and > 0" in captured.err
+
+    def test_rect_huge_permittivity_exits_2(self, capsys):
+        # eps_r ** 2 overflowed in the wide-strip impedance: a traceback
+        # that ended in exit 1, the config-error code
+        argv = ["design", "--geometry", "rect", "--f-ghz", "1e-300", "--eps-r", "1e300",
+                "--h-mm", "0.8"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mmpatch: domain error: ")
 
     @pytest.mark.parametrize("command,flag,value,message", [
         ("design", "--tan-delta", "inf", "loss tangent must be finite"),

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from mmpatch import rectpatch
 from mmpatch.errors import ConfigError, DomainError, SingularFeedError, SynthesisError
 from mmpatch.media import (
     ETA0, MU0, SubstrateSpec, free_space_wavelength, surface_wave_factor, wavenumber,
@@ -16,10 +17,10 @@ from mmpatch.rectpatch import (
     eps_effective,
     input_resistance_rect,
     q_radiation,
-    resonator_terms_rect,
+    rect_analysis,
     synth_rect,
 )
-from mmpatch.response import rect_resonator
+from mmpatch.response import ResonatorModel, rect_resonator
 
 F0 = 39e9
 
@@ -198,6 +199,18 @@ class TestStripImpedance:
         below = _strip(sub, 3.3 * h)            # narrow-strip branch
         above = _strip(sub, 3.3 * h * (1 + 1e-9))  # wide-strip branch
         assert above == pytest.approx(below, rel=0.05)
+
+    def test_wide_strip_on_huge_permittivity_does_not_overflow(self):
+        # eps_r ** 2 overflows past eps_r ~ 1.3e154; eps_r * eps_r is inf,
+        # so the 1/eps_r^2 term vanishes and the impedance stays finite
+        z0 = rectpatch._z0_strip(1e300, 1.0, 1e-3)
+        assert 0.0 < z0 < math.inf
+        assert z0 == pytest.approx(ETA0 / (2.0 * 1e150) / (
+            500.0 + 0.4413 + 0.231 + 0.1592 * math.log(500.94)), rel=1e-12)
+        # the analysis on such a laminate refuses with a DomainError
+        sub = SubstrateSpec(eps_r=1e300, h=0.8e-3)
+        with pytest.raises(DomainError):
+            input_resistance_rect(synth_rect(1e-291, sub), 1e-291, "calibrated")
 
 
 class TestEquivalentWidthAndLength:
@@ -448,14 +461,15 @@ class TestRectOnePass:
     @pytest.mark.parametrize("design,variant,t1_form", ONE_PASS_GRID)
     def test_readers_agree_exactly(self, design, variant, t1_form):
         f = design.f_design
-        r_in, q_r = resonator_terms_rect(design, f, variant, t1_form)
-        assert input_resistance_rect(design, f, variant, t1_form) == analyze_rect(
-            design, f, variant, t1_form)[2] == r_in
-        model = rect_resonator(design, variant, t1_form)
-        assert (model.r_res, model.q_total) == (r_in, q_r)
+        a = rect_analysis(design, f, variant, t1_form)
+        derived = analyze_rect(design, f, variant, t1_form)[1]
+        assert (a.f, a.Q) == (f, derived.Q_r)
+        assert analyze_rect(design, f, variant, t1_form) == (a.breakdown, derived, a.r_in)
+        assert input_resistance_rect(design, f, variant, t1_form) == a.r_in
+        assert rect_resonator(design, variant, t1_form) == ResonatorModel(a.f, a.r_in, a.Q)
 
     def test_bad_variant_and_t1_form_rejected(self, design):
-        for reader in (analyze_rect, input_resistance_rect, resonator_terms_rect):
+        for reader in (analyze_rect, input_resistance_rect, rect_analysis):
             with pytest.raises(ConfigError):
                 reader(design, F0, "nonsense-variant")
             with pytest.raises(ConfigError):
@@ -473,7 +487,7 @@ class TestRectOnePass:
         long_patch = RectPatchDesign(L=10.0 * lam0, W=0.98e-3, feed_offset_a=0.0,
                                      substrate=sub, f_design=F0)
         d = replace(long_patch, feed_offset_a=lam0 / 2.0 - _derived(long_patch).delta_L)
-        for reader in (analyze_rect, input_resistance_rect, resonator_terms_rect):
+        for reader in (analyze_rect, input_resistance_rect, rect_analysis):
             with pytest.raises(SingularFeedError):
                 reader(d, F0, "calibrated")
         with pytest.raises(SingularFeedError):
@@ -488,7 +502,7 @@ class TestRectOnePass:
         d = replace(edge_fed, feed_offset_a=0.1 * edge_fed.L)
         assert _closed_form_taper(d, _derived(edge_fed).delta_L) < 0.0
         for variant in RECT_VARIANTS:
-            for reader in (analyze_rect, input_resistance_rect, resonator_terms_rect):
+            for reader in (analyze_rect, input_resistance_rect, rect_analysis):
                 with pytest.raises(DomainError, match="input resistance"):
                     reader(d, F0, variant)
             with pytest.raises(DomainError):

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmpatch.circpatch import resonator_terms_circ, synth_circ
+from mmpatch.circpatch import circ_analysis, synth_circ
 from mmpatch.errors import DomainError
 from mmpatch.media import SubstrateSpec
-from mmpatch.rectpatch import RectPatchDesign
+from mmpatch.rectpatch import RectPatchDesign, rect_analysis
 from mmpatch.response import (
     BANDWIDTH_CRITERION_DB,
     CSV_HEADER,
@@ -608,6 +608,8 @@ class TestResonatorBuilders:
         assert m.f_res == F0
         assert m.r_res == pytest.approx(50.0, abs=1e-9)
         assert m.q_total == pytest.approx(4.224702783582327, rel=1e-12)
+        a = rect_analysis(design, F0, "calibrated")
+        assert m == ResonatorModel(a.f, a.r_in, a.Q)
 
     def test_circ_builder_matches_design_chain(self):
         sub = SubstrateSpec(eps_r=2.32, h=0.8e-3)
@@ -616,4 +618,5 @@ class TestResonatorBuilders:
         assert m.f_res == pytest.approx(F0, rel=1e-6)
         assert m.r_res == pytest.approx(68.30677809966791, abs=0.01)
         assert m.q_total == pytest.approx(1.653738281317738, rel=1e-4)
-        assert m.q_total == pytest.approx(resonator_terms_circ(design, m.f_res)[1], rel=1e-12)
+        a = circ_analysis(design, m.f_res)[0]
+        assert m == ResonatorModel(a.f, a.r_in, a.Q)
